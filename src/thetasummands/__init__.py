@@ -12,7 +12,8 @@ from .charring import (CharElem, IrrDecomposition, VirtualChar, char_from_json,
                        weight_system, weyl_character_direct, weyl_dimension)
 from .dominance import (DominanceWitness, ReductionTrace, brute_force_reduce,
                         degree_length, dominance_compare, dominant_ideal,
-                        reduce_e6, reduce_hyp, reduce_nonhyp)
+                        dominant_weights_below, reduce_e6, reduce_hyp,
+                        reduce_nonhyp)
 from .errors import (BudgetExhaustedError, CertificationError,
                      InvalidInputError, ResourceCapError)
 from .lambdaring import (adams, factors_through_root_lattice,

@@ -3,7 +3,10 @@
 A CharElem is a finite integer combination of orbit sums We_mu (mu dominant);
 products are computed by convolving full orbit expansions, multiplicities of
 irreducible characters by the Freudenthal recursion, with the Weyl character
-formula kept as an independent small-rank oracle.
+formula kept as an independent small-rank oracle.  Freudenthal runs on the
+dominant weights below lam only (the restriction of Moody and Patera, Bull.
+AMS 7, 1982); ``weight_system``, which lists every weight, is kept as a test
+oracle.
 """
 
 from __future__ import annotations
@@ -12,12 +15,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .dominance import dominance_compare
-from .errors import InvalidInputError, ResourceCapError
+from .dominance import dominance_compare, dominant_weights_below
+from .errors import CertificationError, InvalidInputError, ResourceCapError
 from .rootsys import Coords, RootSystem
 from .weyl import dominant_projection, is_dominant, orbit, signed_orbit, weyl_group_order
 
-DEFAULT_CAP = 10**8  # pairwise additions in a convolution
+DEFAULT_CAP = 10**8  # convolution pairs; dominant weights of a character
 WEYL_FORMULA_GROUP_CAP = 10**4  # |W| above which the direct formula refuses
 
 
@@ -126,7 +129,11 @@ def multiply(a: CharElem, b: CharElem, cap: int = DEFAULT_CAP) -> CharElem:
 
 def weight_system(rs: RootSystem, lam, cap: int = DEFAULT_CAP) -> set[Coords]:
     """All weights of the irreducible representation with highest weight lam,
-    by downward closure under simple-root subtraction."""
+    by downward closure under simple-root subtraction.
+
+    Freudenthal does not need it; it is the oracle for the dominant weights
+    that Freudenthal walks.
+    """
     lam = rs.normalize(lam)
     if not is_dominant(rs, lam):
         raise InvalidInputError(f"weight_system expects a dominant weight, got {lam}")
@@ -151,39 +158,41 @@ def weight_system(rs: RootSystem, lam, cap: int = DEFAULT_CAP) -> set[Coords]:
 
 
 def freudenthal_character(rs: RootSystem, lam, cap: int = DEFAULT_CAP) -> CharElem:
-    """ch V_lam in the orbit basis: coeffs[mu] = m_lam(mu) for dominant mu."""
+    """ch V_lam in the orbit basis: coeffs[mu] = m_lam(mu) for dominant mu.
+
+    Raises ResourceCapError, before any multiplicity is computed, if more
+    than cap dominant weights lie below lam.
+    """
     return _freudenthal_cached(rs, rs.normalize(lam), cap)
 
 
 @lru_cache(maxsize=4096)
 def _freudenthal_cached(rs: RootSystem, lam: Coords, cap: int) -> CharElem:
-    weights = weight_system(rs, lam, cap)
-    strata: dict[Coords, int] = {}  # dominant rep -> height of lam - mu
-    for w in weights:
-        dom, _ = dominant_projection(rs, w)
-        if dom not in strata:
-            wit = dominance_compare(rs, lam, dom)
-            strata[dom] = sum(wit.root_coefficients)
+    dominant = dominant_weights_below(rs, lam, cap)
+    # height of lam - mu on the simple roots; higher weights come first
+    height = {mu: sum(dominance_compare(rs, lam, mu).root_coefficients)
+              for mu in dominant}
     rho = rs.weyl_vector_rho
     norm_top = rs.inner(rs.add(lam, rho), rs.add(lam, rho))
     mult: dict[Coords, int] = {lam: 1}
-    for mu in sorted(strata, key=lambda m: (strata[m], m)):
+    for mu in sorted(dominant, key=lambda m: (height[m], m)):
         if mu == lam:
             continue
         total = Fraction(0)
         for alpha in rs.positive_roots:
-            k = 1
+            # nu is a weight of V_lam iff its dominant projection is; root
+            # strings of weights are unbroken, so stop at the first miss
+            nu = rs.add(mu, alpha)
             while True:
-                nu = rs.add(mu, rs.scale(k, alpha))
-                if nu not in weights:
-                    break
                 dom, _ = dominant_projection(rs, nu)
+                if dom not in dominant:
+                    break
                 total += mult[dom] * rs.inner(nu, alpha)
-                k += 1
+                nu = rs.add(nu, alpha)
         denom = norm_top - rs.inner(rs.add(mu, rho), rs.add(mu, rho))
         m = 2 * total / denom
         if m.denominator != 1 or m <= 0:
-            raise AssertionError(f"non-integral multiplicity {m} at {mu}")
+            raise CertificationError(f"non-integral multiplicity {m} at {mu}")
         mult[mu] = int(m)
     return CharElem(rs, mult)
 
@@ -199,7 +208,7 @@ def weyl_dimension(rs: RootSystem, lam) -> int:
     for alpha in rs.positive_roots:
         dim *= rs.inner(top, alpha) / rs.inner(rho, alpha)
     if dim.denominator != 1:
-        raise AssertionError(f"non-integral Weyl dimension {dim} for {lam}")
+        raise CertificationError(f"non-integral Weyl dimension {dim} for {lam}")
     return int(dim)
 
 
@@ -244,7 +253,7 @@ def _signed_orbit_poly_lifted(rs: RootSystem, v: Coords) -> dict[Coords, int]:
         shift = base[0] - min(w)
         lift = tuple(c + shift for c in w)
         if tuple(sorted(lift)) != base:
-            raise AssertionError("lift does not permute the base multiset")
+            raise CertificationError("lift does not permute the base multiset")
         out[lift] = s
     return out
 
@@ -254,7 +263,7 @@ def _laurent_divide(numer: dict[Coords, int], denom: dict[Coords, int]) -> dict[
     rem = dict(numer)
     lead_d = max(denom)
     if denom[lead_d] != 1:
-        raise AssertionError("denominator is not monic in lex order")
+        raise CertificationError("denominator is not monic in lex order")
     quot: dict[Coords, int] = {}
     while rem:
         lead_r = max(rem)
@@ -323,5 +332,5 @@ def tensor_decompose(rs: RootSystem, lam, mu, cap: int = DEFAULT_CAP) -> IrrDeco
     b = freudenthal_character(rs, mu, cap)
     dec = decompose_into_irreducibles(multiply(a, b, cap), cap)
     if dec.dimension() != weyl_dimension(rs, lam) * weyl_dimension(rs, mu):
-        raise AssertionError("tensor decomposition does not preserve dimension")
+        raise CertificationError("tensor decomposition does not preserve dimension")
     return dec

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 user error or verification failure, 2 resource cap.
+Exit codes: 0 success, 1 user error or verification failure, 2 resource cap,
+3 an internal cross-check failed (CertificationError).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .brillnoether import (CaseSpec, CUBIC_THREEFOLD, HYPERELLIPTIC,
 from .charring import (DEFAULT_CAP, freudenthal_character, tensor_decompose,
                        weyl_dimension)
 from .dominance import dominance_compare, reduce_e6, reduce_hyp, reduce_nonhyp
-from .errors import InvalidInputError, ResourceCapError
+from .errors import CertificationError, InvalidInputError, ResourceCapError
 from .lambdaring import adams, lambda_power_virtual
 from .rootsys import (RootSystem, build_root_system, parse_kind,
                       weight_from_dynkin)
@@ -87,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--system", help="root system: C<n>, A<2n-1>, SL<2n> or E6")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--cap", type=int, default=None,
-                        help="resource cap for orbit/convolution sizes")
+                        help="resource cap: orbit elements, convolution pairs, "
+                             "or dominant weights of a character")
     parser.add_argument("--basis", choices=("epsilon", "dynkin"), default="epsilon",
                         help="coordinate basis of input weights (E6: dynkin only)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -241,6 +243,8 @@ def parse_and_dispatch(argv) -> tuple[CommandResult, str]:
         return dispatch(args), args.format
     except ResourceCapError as exc:
         return _error(str(exc), exit_code=2), args.format
+    except CertificationError as exc:
+        return _error(f"internal check failed: {exc}", exit_code=3), args.format
     except (InvalidInputError, TypeError) as exc:
         return _error(str(exc), exit_code=1), args.format
 

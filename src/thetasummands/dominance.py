@@ -4,7 +4,8 @@
 combination of simple roots.  The three ``reduce_*`` functions realize the
 constructive proofs that every dominant weight dominates one of small,
 controlled shape; ``brute_force_reduce`` is an independent exhaustive oracle
-over the dominance ideal.
+over the dominance ideal.  ``dominant_weights_below`` walks the same ideal
+down from lam one positive root at a time; Freudenthal runs on it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import BudgetExhaustedError, InvalidInputError
+from .errors import BudgetExhaustedError, InvalidInputError, ResourceCapError
 from .rootsys import Coords, RootSystem, SlA, SpC, E6 as E6_KIND, build_root_system
 from .weyl import is_dominant
 
@@ -70,6 +71,37 @@ def dominance_compare(rs: RootSystem, lam, mu) -> DominanceWitness:
     if all(c >= 0 and c.denominator == 1 for c in coeffs):
         return DominanceWitness(True, tuple(int(c) for c in coeffs))
     return DominanceWitness(False)
+
+
+def dominant_weights_below(rs: RootSystem, lam,
+                           cap: int = DEFAULT_BUDGET) -> set[Coords]:
+    """All dominant mu with mu <= lam, as the closure of {lam} under
+    "subtract a positive root and stay dominant".
+
+    The closure is the whole ideal because any dominant mu < lam lies below
+    some dominant lam - alpha with alpha a positive root (Stembridge, The
+    partial order of dominant weights, Adv. Math. 136, 1998).  Raises
+    ResourceCapError once more than cap weights have been inserted.
+    """
+    lam = rs.normalize(lam)
+    if not is_dominant(rs, lam):
+        raise InvalidInputError(f"expected a dominant weight, got {lam}")
+    seen = {lam}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for alpha in rs.positive_roots:
+                nu = rs.sub(mu, alpha)
+                if nu in seen or not is_dominant(rs, nu):
+                    continue
+                seen.add(nu)
+                if len(seen) > cap:
+                    raise ResourceCapError(
+                        f"more than {cap} dominant weights lie below {lam}")
+                nxt.append(nu)
+        frontier = nxt
+    return seen
 
 
 # --- reduction traces ------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Weyl group actions: reflections, dominant projection, orbit enumeration."""
+"""Weyl group actions: reflections, dominant projection, orbit enumeration,
+and the group order in closed form."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 
 from .errors import InvalidInputError, ResourceCapError
 from .rootsys import Coords, RootSystem
@@ -79,10 +81,14 @@ def orbit_size(rs: RootSystem, lam, cap: int = DEFAULT_ORBIT_CAP) -> int:
     return orbit(rs, lam, cap).size
 
 
-@lru_cache(maxsize=None)
 def weyl_group_order(rs: RootSystem) -> int:
-    """|W|, computed as the orbit size of the regular weight rho."""
-    return orbit(rs, rs.weyl_vector_rho).size
+    """|W| in closed form: 2^n n! for C_n, (2n)! for A_{2n-1}, 51840 for E6."""
+    fam, n = rs.kind.family, rs.kind.n
+    if fam == "C":
+        return 2**n * factorial(n)
+    if fam == "A":
+        return factorial(2 * n)
+    return 51840
 
 
 def signed_orbit(rs: RootSystem, v) -> dict[Coords, int]:

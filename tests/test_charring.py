@@ -70,6 +70,13 @@ def test_freudenthal_known_multiplicities(c2):
     assert ch.dimension() == 10
 
 
+def test_freudenthal_cap_trips_before_recursion(c2):
+    # (3,2) has four dominant weights below it: (3,2), (3,0), (2,1), (1,0)
+    with pytest.raises(ResourceCapError):
+        freudenthal_character(c2, (3, 2), cap=3)
+    assert freudenthal_character(c2, (3, 2), cap=4).dimension() == 40
+
+
 def test_freudenthal_sl4(sl4):
     # adjoint of Sl4: dimension 15, zero weight multiplicity 3
     ch = freudenthal_character(sl4, (2, 1, 1, 0))

@@ -2,7 +2,9 @@
 
 import json
 
+from thetasummands import cli
 from thetasummands.cli import main, parse_and_dispatch
+from thetasummands.errors import CertificationError
 
 
 def run(argv):
@@ -101,6 +103,25 @@ def test_resource_cap_exit_2():
     r = run(["--system", "C3", "--cap", "3", "orbit", "--weight", "3,2,1"])
     assert r.exit_code == 2
     assert r.status == "error"
+
+
+def test_char_cap_exit_2():
+    # (3,2,1) has eight dominant weights below it
+    r = run(["--system", "C3", "--cap", "3", "char", "--weight", "3,2,1"])
+    assert r.exit_code == 2
+    assert r.status == "error"
+    assert run(["--system", "C3", "--cap", "8", "char",
+                "--weight", "3,2,1"]).exit_code == 0
+
+
+def test_certification_failure_exit_3(monkeypatch):
+    def broken(rs, lam):
+        raise CertificationError("non-integral Weyl dimension")
+    monkeypatch.setattr(cli, "weyl_dimension", broken)
+    r = run(["--system", "C2", "dim", "--weight", "1,0"])
+    assert r.exit_code == 3
+    assert r.status == "error"
+    assert "non-integral Weyl dimension" in r.payload["message"]
 
 
 def test_json_rendering_and_main(capsys):

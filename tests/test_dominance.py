@@ -2,11 +2,17 @@
 
 import pytest
 
+from thetasummands.charring import weight_system, weyl_dimension
 from thetasummands.dominance import (brute_force_reduce, degree_length,
                                      dominance_compare, dominant_ideal,
-                                     reduce_e6, reduce_hyp, reduce_nonhyp)
-from thetasummands.errors import BudgetExhaustedError, InvalidInputError
+                                     dominant_weights_below, reduce_e6,
+                                     reduce_hyp, reduce_nonhyp)
+from thetasummands.errors import (BudgetExhaustedError, InvalidInputError,
+                                  ResourceCapError)
 from thetasummands.rootsys import E6, SlA, SpC, build_root_system
+from thetasummands.suites import (dominant_weights_a, dominant_weights_c,
+                                  dominant_weights_e6)
+from thetasummands.weyl import dominant_projection
 
 
 def test_dominance_c2():
@@ -150,3 +156,32 @@ def test_brute_force_reduce():
     assert none is None
     with pytest.raises(BudgetExhaustedError):
         brute_force_reduce(rs, (6, 6, 6), lambda mu: False, budget=3)
+
+
+@pytest.mark.parametrize("kind, weights", [
+    (SpC(2), tuple(dominant_weights_c(2, 6))),
+    (SpC(3), tuple(dominant_weights_c(3, 6))),
+    (SlA(2), tuple(dominant_weights_a(2, 6))),
+    (E6, tuple(dominant_weights_e6(2))),
+], ids=["C2", "C3", "SL4", "E6"])
+def test_dominant_weights_below_matches_oracles(kind, weights):
+    # the bounds of the multiplicity-dominance suite, with E6 raised to label
+    # sum 2; the full weight system is listed only up to dimension 3000,
+    # because the largest of these E6 modules has dimension 1337050
+    rs = build_root_system(kind)
+    for lam in weights:
+        below = dominant_weights_below(rs, lam)
+        assert below == set(dominant_ideal(rs, lam)), lam
+        if weyl_dimension(rs, lam) <= 3000:
+            projected = {dominant_projection(rs, w)[0]
+                         for w in weight_system(rs, lam)}
+            assert below == projected, lam
+
+
+def test_dominant_weights_below_cap_and_input():
+    rs = build_root_system(SpC(3))
+    assert len(dominant_weights_below(rs, (3, 2, 1), cap=8)) == 8
+    with pytest.raises(ResourceCapError):
+        dominant_weights_below(rs, (3, 2, 1), cap=7)
+    with pytest.raises(InvalidInputError):
+        dominant_weights_below(rs, (1, 2, 0))

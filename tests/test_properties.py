@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thetasummands.charring import freudenthal_character, weyl_character_direct
 from thetasummands.dominance import dominance_compare, degree_length, reduce_hyp
 from thetasummands.rootsys import SlA, SpC, build_root_system
 from thetasummands.weyl import dominant_projection, is_dominant, orbit
@@ -42,3 +43,21 @@ def test_reduce_hyp_invariants_c3(lam):
     assert degree_length(trace.result) == (d, min(d, 3))
     assert dominance_compare(rs, lam, trace.result)
     assert trace.replay() == trace.result
+
+
+def _decreasing(t):
+    return tuple(sorted(t, reverse=True))
+
+
+@given(st.tuples(*[st.integers(0, 3)] * 3).map(_decreasing))
+@settings(max_examples=30, deadline=None)
+def test_freudenthal_matches_weyl_formula_c3(lam):
+    rs = build_root_system(SpC(3))
+    assert freudenthal_character(rs, lam) == weyl_character_direct(rs, lam)
+
+
+@given(st.tuples(*[st.integers(0, 3)] * 3).map(lambda t: _decreasing(t) + (0,)))
+@settings(max_examples=30, deadline=None)
+def test_freudenthal_matches_weyl_formula_sl4(lam):
+    rs = build_root_system(SlA(2))
+    assert freudenthal_character(rs, lam) == weyl_character_direct(rs, lam)

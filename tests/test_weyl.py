@@ -53,6 +53,15 @@ def test_weyl_group_orders():
     assert weyl_group_order(build_root_system(SlA(3))) == factorial(6)
 
 
+@pytest.mark.parametrize("kind", [SpC(n) for n in range(1, 6)]
+                         + [SlA(n) for n in range(1, 4)] + [E6],
+                         ids=str)
+def test_weyl_group_order_closed_form_matches_rho_orbit(kind):
+    # W acts simply transitively on the orbit of the regular weight rho
+    rs = build_root_system(kind)
+    assert weyl_group_order(rs) == orbit_size(rs, rs.weyl_vector_rho)
+
+
 def test_orbit_sizes_divide_group_order():
     for kind in (SpC(3), SlA(2)):
         rs = build_root_system(kind)
