@@ -3,10 +3,10 @@ and the combinatorial classification of theta-divisor summands for the
 symplectic, special linear and E6 root systems."""
 
 from .brillnoether import (CaseSpec, ClassificationReport, SupportExpr,
-                           classify_summands, degree_length_hyp, split_sl,
-                           support_dim_hyp, support_dim_nonhyp_bound,
-                           support_of_orbit, transpose_partition)
-from .charring import (CharElem, IrrDecomposition, VirtualChar, char_from_json,
+                           classify_summands, split_sl, support_dim_hyp,
+                           support_dim_nonhyp_bound, support_of_orbit,
+                           transpose_partition)
+from .charring import (CharElem, IrrDecomposition, char_from_json,
                        decompose_into_irreducibles, freudenthal_character,
                        multiply, orbit_char, tensor_decompose, unit_char,
                        weight_system, weyl_character_direct, weyl_dimension)
@@ -21,7 +21,7 @@ from .lambdaring import (adams, factors_through_root_lattice,
                          newton_transforms, root_lattice_class)
 from .rootsys import (E6, RootSystem, RootSystemKind, SlA, SpC,
                       build_root_system, convert_coordinates, parse_kind,
-                      positive_roots_of, rho_of, weight_from_dynkin)
+                      weight_from_dynkin)
 from .suites import SUITES, SuiteResult, run_suite
 from .weyl import (OrbitSum, dominant_projection, is_dominant, orbit,
                    orbit_size, signed_orbit, weyl_group_order)

@@ -93,11 +93,6 @@ def _diff(a: int, b: int) -> SupportExpr:
     return SupportExpr("diff", d_plus=a, d_minus=b, dim=a + b)
 
 
-def degree_length_hyp(lam) -> tuple[int, int]:
-    """Degree and length of a symplectic dominant weight as a partition."""
-    return degree_length(lam)
-
-
 def split_sl(n: int, lam) -> tuple[tuple[int, ...], tuple[int, ...], int, int, int, int]:
     """Normalized (lambda+ | -lambda-) split with its degree/length stats.
 
@@ -133,7 +128,7 @@ def support_of_orbit(case: CaseSpec, mu) -> SupportExpr:
     if mu == rs.zero():
         return SupportExpr("point", dim=0)
     if case.kind == HYPERELLIPTIC:
-        d, ell = degree_length_hyp(mu)
+        d, ell = degree_length(mu)
         if all(c in (0, 1) for c in mu):
             return _wd(d)
         return SupportExpr("general", weight=mu, dim=ell)
@@ -159,9 +154,9 @@ def support_dim_hyp(g: int, lam) -> int:
     min{d(lam), g-1}, certified against the constructive reduction."""
     n = g - 1
     trace = reduce_hyp(n, lam)
-    d, _ = degree_length_hyp(trace.start)
+    d, _ = degree_length(trace.start)
     closed_form = min(d, g - 1)
-    ell = degree_length_hyp(trace.result)[1]
+    ell = degree_length(trace.result)[1]
     rs = trace.system
     if ell != closed_form or not dominance_compare(rs, trace.start, trace.result):
         raise CertificationError(

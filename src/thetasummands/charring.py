@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .dominance import dominance_compare, dominant_weights_below
 from .errors import CertificationError, InvalidInputError, ResourceCapError
-from .rootsys import Coords, RootSystem
+from .rootsys import Coords, RootSystem, closure
 from .weyl import dominant_projection, is_dominant, orbit, signed_orbit, weyl_group_order
 
 DEFAULT_CAP = 10**8  # convolution pairs; dominant weights of a character
@@ -90,10 +90,6 @@ class CharElem:
                 and self.coeffs == other.coeffs)
 
 
-# a virtual character is the same datum with negative coefficients allowed
-VirtualChar = CharElem
-
-
 def orbit_char(rs: RootSystem, mu) -> CharElem:
     """The basis element We_mu."""
     return CharElem(rs, {rs.normalize(mu): 1})
@@ -127,7 +123,7 @@ def multiply(a: CharElem, b: CharElem, cap: int = DEFAULT_CAP) -> CharElem:
 # --- weight systems and Freudenthal multiplicities --------------------------
 
 
-def weight_system(rs: RootSystem, lam, cap: int = DEFAULT_CAP) -> set[Coords]:
+def weight_system(rs: RootSystem, lam) -> set[Coords]:
     """All weights of the irreducible representation with highest weight lam,
     by downward closure under simple-root subtraction.
 
@@ -137,24 +133,14 @@ def weight_system(rs: RootSystem, lam, cap: int = DEFAULT_CAP) -> set[Coords]:
     lam = rs.normalize(lam)
     if not is_dominant(rs, lam):
         raise InvalidInputError(f"weight_system expects a dominant weight, got {lam}")
-    seen = {lam}
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for alpha in rs.simple_roots:
-                v = rs.sub(w, alpha)
-                if v in seen:
-                    continue
-                dom, _ = dominant_projection(rs, v)
-                if dominance_compare(rs, lam, dom).comparable:
-                    seen.add(v)
-                    nxt.append(v)
-                    if len(seen) > cap:
-                        raise ResourceCapError(
-                            f"weight system of {lam} exceeds cap {cap}")
-        frontier = nxt
-    return seen
+
+    def below(w):
+        for alpha in rs.simple_roots:
+            v = rs.sub(w, alpha)
+            if dominance_compare(rs, lam, dominant_projection(rs, v)[0]).comparable:
+                yield v
+
+    return closure([lam], below, DEFAULT_CAP, f"weight system of {lam}")
 
 
 def freudenthal_character(rs: RootSystem, lam, cap: int = DEFAULT_CAP) -> CharElem:
@@ -212,18 +198,17 @@ def weyl_dimension(rs: RootSystem, lam) -> int:
     return int(dim)
 
 
-def weyl_character_direct(rs: RootSystem, lam,
-                          group_cap: int = WEYL_FORMULA_GROUP_CAP) -> CharElem:
+def weyl_character_direct(rs: RootSystem, lam) -> CharElem:
     """ch V_lam by the alternating-sum formula and exact polynomial division.
 
-    Small-rank oracle only; refuses when |W| exceeds group_cap.
+    Small-rank oracle only; refuses when |W| exceeds WEYL_FORMULA_GROUP_CAP.
     """
     lam = rs.normalize(lam)
     if not is_dominant(rs, lam):
         raise InvalidInputError(f"expected a dominant weight, got {lam}")
-    if weyl_group_order(rs) > group_cap:
-        raise ResourceCapError(
-            f"|W| = {weyl_group_order(rs)} exceeds the oracle cap {group_cap}")
+    if weyl_group_order(rs) > WEYL_FORMULA_GROUP_CAP:
+        raise ResourceCapError(f"|W| = {weyl_group_order(rs)} exceeds the oracle "
+                               f"cap {WEYL_FORMULA_GROUP_CAP}")
     rho = rs.weyl_vector_rho
     if rs.kind.family == "A":
         # work with honest Z^{2n} lifts: each signed orbit lives on a
@@ -290,10 +275,10 @@ class IrrDecomposition:
     system: RootSystem
     coeffs: dict[Coords, int]
 
-    def to_char(self, cap: int = DEFAULT_CAP) -> CharElem:
+    def to_char(self) -> CharElem:
         out = CharElem(self.system)
         for lam, c in self.coeffs.items():
-            out = out + freudenthal_character(self.system, lam, cap).scale(c)
+            out = out + freudenthal_character(self.system, lam).scale(c)
         return out
 
     def dimension(self) -> int:

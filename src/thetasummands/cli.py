@@ -88,8 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--system", help="root system: C<n>, A<2n-1>, SL<2n> or E6")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--cap", type=int, default=None,
-                        help="resource cap: orbit elements, convolution pairs, "
-                             "or dominant weights of a character")
+                        help="resource cap: orbit elements or dominant weights "
+                             "of a character (counted as each is found), or "
+                             "convolution pairs of one product")
     parser.add_argument("--basis", choices=("epsilon", "dynkin"), default="epsilon",
                         help="coordinate basis of input weights (E6: dynkin only)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -218,9 +219,11 @@ def dispatch(args) -> CommandResult:
         if args.bounds:
             for item in args.bounds.split(","):
                 key, _, val = item.partition("=")
-                if not val:
-                    raise InvalidInputError(f"bad bounds entry {item!r}")
-                bounds[key.strip()] = int(val)
+                try:
+                    bounds[key.strip()] = int(val)
+                except ValueError as exc:
+                    raise InvalidInputError(
+                        f"bounds entry {item!r} is not key=integer") from exc
         result = run_suite(args.suite, **bounds)
         payload = result.to_json()
         if result.ok:
@@ -245,7 +248,7 @@ def parse_and_dispatch(argv) -> tuple[CommandResult, str]:
         return _error(str(exc), exit_code=2), args.format
     except CertificationError as exc:
         return _error(f"internal check failed: {exc}", exit_code=3), args.format
-    except (InvalidInputError, TypeError) as exc:
+    except InvalidInputError as exc:
         return _error(str(exc), exit_code=1), args.format
 
 

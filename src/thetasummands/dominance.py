@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import BudgetExhaustedError, InvalidInputError, ResourceCapError
-from .rootsys import Coords, RootSystem, SlA, SpC, E6 as E6_KIND, build_root_system
+from .errors import BudgetExhaustedError, CertificationError, InvalidInputError
+from .rootsys import (Coords, RootSystem, SlA, SpC, E6 as E6_KIND,
+                      build_root_system, closure)
 from .weyl import is_dominant
 
 DEFAULT_BUDGET = 10**6
@@ -81,27 +82,19 @@ def dominant_weights_below(rs: RootSystem, lam,
     The closure is the whole ideal because any dominant mu < lam lies below
     some dominant lam - alpha with alpha a positive root (Stembridge, The
     partial order of dominant weights, Adv. Math. 136, 1998).  Raises
-    ResourceCapError once more than cap weights have been inserted.
+    ResourceCapError at the first weight past cap.
     """
     lam = rs.normalize(lam)
     if not is_dominant(rs, lam):
         raise InvalidInputError(f"expected a dominant weight, got {lam}")
-    seen = {lam}
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for mu in frontier:
-            for alpha in rs.positive_roots:
-                nu = rs.sub(mu, alpha)
-                if nu in seen or not is_dominant(rs, nu):
-                    continue
-                seen.add(nu)
-                if len(seen) > cap:
-                    raise ResourceCapError(
-                        f"more than {cap} dominant weights lie below {lam}")
-                nxt.append(nu)
-        frontier = nxt
-    return seen
+
+    def below(mu):
+        for alpha in rs.positive_roots:
+            nu = rs.sub(mu, alpha)
+            if is_dominant(rs, nu):
+                yield nu
+
+    return closure([lam], below, cap, f"the set of dominant weights below {lam}")
 
 
 # --- reduction traces ------------------------------------------------------
@@ -250,9 +243,9 @@ def reduce_e6(lam) -> ReductionTrace:
         hi, lo = E6_RULES[rule]
         new = [c - a + b for c, a, b in zip(cur, hi, lo)]
         if any(c < 0 for c in new):
-            raise AssertionError(f"rule {rule} leaves the dominant cone at {tuple(cur)}")
+            raise CertificationError(f"rule {rule} leaves the dominant cone at {tuple(cur)}")
         if not dominance_compare(rs, tuple(cur), tuple(new)).comparable:
-            raise AssertionError(f"rule {rule} failed dominance validation")
+            raise CertificationError(f"rule {rule} failed dominance validation")
         steps.append((tuple(a - b for a, b in zip(hi, lo)), rule))
         cur = new
 
@@ -287,7 +280,7 @@ def reduce_e6(lam) -> ReductionTrace:
             apply(triple)
     result = tuple(cur)
     if result not in E6_TARGETS:
-        raise AssertionError(f"reduction of {lam} ended outside the target set: {result}")
+        raise CertificationError(f"reduction of {lam} ended outside the target set: {result}")
     return ReductionTrace(rs, lam, tuple(steps), result)
 
 

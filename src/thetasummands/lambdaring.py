@@ -9,7 +9,7 @@ Newton-identity recursion with an exact integrality check.
 from __future__ import annotations
 
 from .charring import CharElem, DEFAULT_CAP, multiply, unit_char
-from .errors import InvalidInputError, ResourceCapError
+from .errors import CertificationError, InvalidInputError, ResourceCapError
 from .rootsys import Coords, RootSystem
 from .weyl import is_dominant
 
@@ -26,7 +26,7 @@ def adams(n: int, x: CharElem) -> CharElem:
     return CharElem(rs, out)
 
 
-def lambda_power_effective(n: int, x: CharElem, cap: int = DEFAULT_CAP) -> CharElem:
+def lambda_power_effective(n: int, x: CharElem) -> CharElem:
     """n-th elementary symmetric function of the full weight multiset of an
     effective character."""
     if n < 0:
@@ -50,9 +50,9 @@ def lambda_power_effective(n: int, x: CharElem, cap: int = DEFAULT_CAP) -> CharE
         for k in range(n, 0, -1):
             prev = elem[k - 1]
             work += len(prev)
-            if work > cap:
+            if work > DEFAULT_CAP:
                 raise ResourceCapError(
-                    f"lambda-power expansion exceeds the cap of {cap} additions")
+                    f"lambda-power expansion exceeds the cap of {DEFAULT_CAP} additions")
             tgt = elem[k]
             for expo, c in prev.items():
                 key = rs.add(expo, w)
@@ -62,28 +62,14 @@ def lambda_power_effective(n: int, x: CharElem, cap: int = DEFAULT_CAP) -> CharE
 
 
 def lambda_power_virtual(n: int, x: CharElem, cap: int = DEFAULT_CAP) -> CharElem:
-    """n-th lambda power from Adams operations via the Newton recursion
+    """n-th lambda power: the Adams-to-lambda transform of Psi^1(x)..Psi^n(x).
 
-        n * lambda^n(x) = sum_{i=1..n} (-1)^(i-1) lambda^(n-i)(x) * Psi^i(x),
-
-    with an integrality assertion on the division by n."""
+    The Adams operations of one element always satisfy the Newton identities,
+    so a non-integral coefficient is a CertificationError here."""
     if n < 0:
         raise InvalidInputError(f"lambda power index must be >= 0, got {n}")
-    rs = x.system
-    lams = [unit_char(rs)]
-    for k in range(1, n + 1):
-        acc = CharElem(rs)
-        for i in range(1, k + 1):
-            term = multiply(lams[k - i], adams(i, x), cap)
-            acc = acc + (term if i % 2 else term.scale(-1))
-        coeffs = {}
-        for mu, c in acc.coeffs.items():
-            if c % k:
-                raise AssertionError(
-                    f"Newton recursion gave a non-integral lambda^{k} coefficient at {mu}")
-            coeffs[mu] = c // k
-        lams.append(CharElem(rs, coeffs))
-    return lams[n]
+    psis = [adams(i, x) for i in range(1, n + 1)]
+    return _adams_to_lambda(x.system, psis, cap, CertificationError)[n]
 
 
 def newton_transforms(direction: str, values: list[CharElem]) -> list[CharElem]:
@@ -107,22 +93,32 @@ def newton_transforms(direction: str, values: list[CharElem]) -> list[CharElem]:
             p.append(acc)
         return p[1:]
     if direction == "adams_to_lambda":
-        p = [unit_char(rs)] + list(values)
-        e: list[CharElem] = [unit_char(rs)]
-        for k in range(1, n + 1):
-            acc = CharElem(rs)
-            for i in range(1, k + 1):
-                term = multiply(e[k - i], p[i])
-                acc = acc + (term if i % 2 else term.scale(-1))
-            coeffs = {}
-            for mu, c in acc.coeffs.items():
-                if c % k:
-                    raise InvalidInputError(
-                        f"inconsistent input: lambda^{k} would be non-integral at {mu}")
-                coeffs[mu] = c // k
-            e.append(CharElem(rs, coeffs))
-        return e[1:]
+        return _adams_to_lambda(rs, values, DEFAULT_CAP, InvalidInputError)[1:]
     raise InvalidInputError(f"unknown direction {direction!r}")
+
+
+def _adams_to_lambda(rs: RootSystem, psis: list[CharElem], cap: int,
+                     error: type[Exception]) -> list[CharElem]:
+    """[lambda^0, ..., lambda^n] from [Psi^1, ..., Psi^n] by the Newton recursion
+
+        k * lambda^k = sum_{i=1..k} (-1)^(i-1) lambda^(k-i) * Psi^i,
+
+    raising error where a coefficient is not divisible by k."""
+    p = [unit_char(rs)] + list(psis)
+    e: list[CharElem] = [unit_char(rs)]
+    for k in range(1, len(p)):
+        acc = CharElem(rs)
+        for i in range(1, k + 1):
+            term = multiply(e[k - i], p[i], cap)
+            acc = acc + (term if i % 2 else term.scale(-1))
+        coeffs = {}
+        for mu, c in acc.coeffs.items():
+            if c % k:
+                raise error(f"Newton recursion gives a non-integral lambda^{k} "
+                            f"coefficient at {mu}")
+            coeffs[mu] = c // k
+        e.append(CharElem(rs, coeffs))
+    return e
 
 
 def root_lattice_class(rs: RootSystem, w) -> int:
@@ -138,7 +134,7 @@ def root_lattice_class(rs: RootSystem, w) -> int:
     c = rs.root_basis_coords(w)[0]
     val = 3 * c
     if val.denominator != 1:
-        raise AssertionError("root-basis coordinate has unexpected denominator")
+        raise CertificationError("root-basis coordinate has unexpected denominator")
     return int(val) % 3
 
 

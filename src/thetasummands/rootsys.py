@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InvalidInputError
+from .errors import CertificationError, InvalidInputError, ResourceCapError
 
 Coords = tuple[int, ...]
 
@@ -268,26 +268,39 @@ def build_root_system(kind: RootSystemKind) -> RootSystem:
                       fundamental, positive, rho, exponent)
 
 
+def closure(start, step, cap: int, what: str) -> set:
+    """Breadth-first closure of the elements of start, where step(x) yields
+    the neighbours of x.
+
+    cap is checked at every insertion: ResourceCapError naming what is raised
+    at the first element past it, before step is asked for another neighbour.
+    """
+    seen: set = set()
+
+    def fresh(items):
+        for y in items:
+            if y not in seen:
+                seen.add(y)
+                if len(seen) > cap:
+                    raise ResourceCapError(f"{what} exceeds the cap of {cap} elements")
+                yield y
+
+    frontier = list(fresh(start))
+    while frontier:
+        frontier = [y for x in frontier for y in fresh(step(x))]
+    return seen
+
+
 def _positive_roots(rs: RootSystem) -> tuple[Coords, ...]:
     """All roots via closure of the simple roots under simple reflections,
     intersected with the positive cone."""
-    seen = set(rs.simple_roots)
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for i in range(rs.rank):
-                s = rs.reflect(i, r)
-                if s not in seen:
-                    seen.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    positive = [r for r in seen if all(c >= 0 for c in rs.root_basis_coords(r))]
+    # C_n has 2n^2 roots, A_r has r(r+1) and E6 has 72 = 2 * 6^2, so this
+    # cap is never reached
+    roots = closure(rs.simple_roots,
+                    lambda r: (rs.reflect(i, r) for i in range(rs.rank)),
+                    2 * rs.rank**2, f"root system {rs}")
+    positive = [r for r in roots if all(c >= 0 for c in rs.root_basis_coords(r))]
     return tuple(sorted(positive))
-
-
-def positive_roots_of(rs: RootSystem) -> list[Coords]:
-    return list(rs.positive_roots)
 
 
 def _rho(rs: RootSystem, positive, fundamental) -> Coords:
@@ -305,12 +318,8 @@ def _rho(rs: RootSystem, positive, fundamental) -> Coords:
     else:
         ok = all(d == 0 for d in diff)
     if not ok:
-        raise AssertionError(f"{rs}: rho consistency check failed")
+        raise CertificationError(f"{rs}: rho consistency check failed")
     return rho
-
-
-def rho_of(rs: RootSystem) -> Coords:
-    return rs.weyl_vector_rho
 
 
 def convert_coordinates(rs: RootSystem, w, target: str) -> tuple[Fraction, ...]:

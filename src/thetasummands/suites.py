@@ -8,6 +8,7 @@ the ``verify`` CLI subcommand and the acceptance tests.
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
 import time
@@ -408,4 +409,10 @@ def run_suite(name: str, **bounds) -> SuiteResult:
     if name not in SUITES:
         raise InvalidInputError(
             f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
+    valid = inspect.signature(SUITES[name]).parameters
+    unknown = sorted(set(bounds) - set(valid))
+    if unknown:
+        raise InvalidInputError(
+            f"suite {name!r} has no bound {', '.join(unknown)}; "
+            f"valid bounds: {', '.join(valid) or 'none'}")
     return SUITES[name](**bounds)

@@ -7,15 +7,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .errors import InvalidInputError, ResourceCapError
-from .rootsys import Coords, RootSystem
+from .errors import InvalidInputError
+from .rootsys import Coords, RootSystem, closure
 
 DEFAULT_ORBIT_CAP = 10**6
-
-
-def simple_reflection(rs: RootSystem, i: int, w) -> Coords:
-    """Reflection in the i-th simple root (0-based index)."""
-    return rs.reflect(i, rs.normalize(w))
 
 
 def is_dominant(rs: RootSystem, w) -> bool:
@@ -53,32 +48,21 @@ class OrbitSum:
 
 def orbit(rs: RootSystem, lam, cap: int = DEFAULT_ORBIT_CAP) -> OrbitSum:
     """Breadth-first closure under simple reflections; any orbit member may
-    be passed in, the stored representative is the dominant one."""
+    be passed in, the stored representative is the dominant one.  Raises
+    ResourceCapError at the first element past cap."""
     lam, _ = dominant_projection(rs, lam)
     return _orbit_cached(rs, lam, cap)
 
 
 @lru_cache(maxsize=4096)
 def _orbit_cached(rs: RootSystem, lam: Coords, cap: int) -> OrbitSum:
-    seen = {lam}
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in range(rs.rank):
-                v = rs.reflect(i, w)
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        if len(seen) > cap:
-            raise ResourceCapError(
-                f"orbit of {lam} in {rs} exceeds the cap of {cap} elements")
-        frontier = nxt
+    seen = closure([lam], lambda w: (rs.reflect(i, w) for i in range(rs.rank)),
+                   cap, f"orbit of {lam} in {rs}")
     return OrbitSum(rs, lam, tuple(sorted(seen)))
 
 
-def orbit_size(rs: RootSystem, lam, cap: int = DEFAULT_ORBIT_CAP) -> int:
-    return orbit(rs, lam, cap).size
+def orbit_size(rs: RootSystem, lam) -> int:
+    return orbit(rs, lam).size
 
 
 def weyl_group_order(rs: RootSystem) -> int:

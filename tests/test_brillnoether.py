@@ -6,8 +6,8 @@ import pytest
 
 from thetasummands.brillnoether import (CUBIC_THREEFOLD, CaseSpec,
                                         HYPERELLIPTIC, NONHYPERELLIPTIC,
-                                        classify_summands, degree_length_hyp,
-                                        split_sl, support_dim_hyp,
+                                        classify_summands, split_sl,
+                                        support_dim_hyp,
                                         support_dim_nonhyp_bound,
                                         support_of_orbit, transpose_partition)
 from thetasummands.errors import InvalidInputError
@@ -23,10 +23,6 @@ def test_case_spec_validation():
         CaseSpec("plane-quartic", 3)
     with pytest.raises(InvalidInputError):
         CaseSpec(CUBIC_THREEFOLD).n
-
-
-def test_degree_length_hyp():
-    assert degree_length_hyp((3, 1, 0)) == (4, 2)
 
 
 def test_split_sl():

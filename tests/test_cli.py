@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: parsing, output formats, exit codes."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from thetasummands import cli
 from thetasummands.cli import main, parse_and_dispatch
@@ -99,6 +102,15 @@ def test_user_errors_exit_1():
                 "--bounds", "nonsense=1"]).exit_code == 1
 
 
+def test_verify_bad_bounds_exit_1():
+    r = run(["verify", "--suite", "reduce-hyp", "--bounds", "max_n=x"])
+    assert r.exit_code == 1 and "max_n=x" in r.payload["message"]
+    r = run(["verify", "--suite", "reduce-hyp", "--bounds", "nonsense=1"])
+    assert r.exit_code == 1
+    assert "nonsense" in r.payload["message"]
+    assert "max_n, max_degree" in r.payload["message"]
+
+
 def test_resource_cap_exit_2():
     r = run(["--system", "C3", "--cap", "3", "orbit", "--weight", "3,2,1"])
     assert r.exit_code == 2
@@ -122,6 +134,20 @@ def test_certification_failure_exit_3(monkeypatch):
     assert r.exit_code == 3
     assert r.status == "error"
     assert "non-integral Weyl dimension" in r.payload["message"]
+
+
+def test_type_error_in_a_command_propagates(monkeypatch):
+    def buggy(rs, lam):
+        raise TypeError("a bug, not bad input")
+    monkeypatch.setattr(cli, "weyl_dimension", buggy)
+    with pytest.raises(TypeError):
+        run(["--system", "C2", "dim", "--weight", "1,0"])
+
+
+def test_no_bare_assertion_errors_in_src():
+    # internal checks raise CertificationError, which the CLI maps to exit 3
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        assert "raise AssertionError" not in path.read_text(), path.name
 
 
 def test_json_rendering_and_main(capsys):

@@ -2,9 +2,10 @@
 
 import pytest
 
+from thetasummands import lambdaring
 from thetasummands.charring import (CharElem, freudenthal_character, multiply,
                                     orbit_char, unit_char)
-from thetasummands.errors import InvalidInputError
+from thetasummands.errors import CertificationError, InvalidInputError
 from thetasummands.lambdaring import (adams, factors_through_root_lattice,
                                       lambda_power_effective,
                                       lambda_power_virtual, newton_transforms,
@@ -98,6 +99,19 @@ def test_newton_adams_match_direct(c2):
                              [lambda_power_effective(k, x) for k in range(1, 4)])
     for n, psi in enumerate(psis, start=1):
         assert psi == adams(n, x)
+
+
+def test_inconsistent_adams_data_is_invalid_input(c2):
+    # Psi^1 = Psi^2 = We_(1,0) gives 2 lambda^2 = We_(1,0)^2 - We_(1,0)
+    std = orbit_char(c2, (1, 0))
+    with pytest.raises(InvalidInputError):
+        newton_transforms("adams_to_lambda", [std, std])
+
+
+def test_lambda_virtual_reports_a_broken_newton_identity(c2, monkeypatch):
+    monkeypatch.setattr(lambdaring, "adams", lambda n, x: x)
+    with pytest.raises(CertificationError):
+        lambda_power_virtual(2, orbit_char(c2, (1, 0)))
 
 
 def test_root_lattice_class(c2, sl4):

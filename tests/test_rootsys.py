@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from thetasummands.errors import InvalidInputError
-from thetasummands.rootsys import (E6, SlA, SpC, build_root_system,
+from thetasummands.errors import InvalidInputError, ResourceCapError
+from thetasummands.rootsys import (E6, SlA, SpC, build_root_system, closure,
                                    convert_coordinates, parse_kind,
                                    weight_from_dynkin)
 
@@ -145,3 +145,22 @@ def test_fundamental_group_exponent():
     assert build_root_system(SpC(5)).fundamental_group_exponent == 2
     assert build_root_system(SlA(3)).fundamental_group_exponent == 6
     assert build_root_system(E6).fundamental_group_exponent == 3
+
+
+def test_closure_checks_the_cap_at_every_insertion():
+    drawn = []
+
+    def endless(x):
+        while True:
+            if len(drawn) == 5:
+                pytest.fail("closure drew a neighbour after passing the cap")
+            drawn.append(len(drawn) + 1)
+            yield drawn[-1]
+
+    # 0 plus five neighbours is cap + 1 insertions
+    with pytest.raises(ResourceCapError, match="the naturals"):
+        closure([0], endless, 5, "the naturals")
+    assert drawn == [1, 2, 3, 4, 5]
+    assert closure([0], lambda x: [(x + 1) % 10], 10, "Z/10") == set(range(10))
+    with pytest.raises(ResourceCapError, match="Z/10"):
+        closure([0], lambda x: [(x + 1) % 10], 9, "Z/10")

@@ -32,6 +32,13 @@ def test_orbit_c2():
     assert orbit_size(rs, (0, 0)) == 1
 
 
+def test_orbit_cap_counts_each_element():
+    rs = build_root_system(SpC(3))
+    assert orbit(rs, (3, 2, 1), cap=48).size == 48
+    with pytest.raises(ResourceCapError):
+        orbit(rs, (3, 2, 1), cap=47)
+
+
 def test_orbit_accepts_nondominant_input():
     rs = build_root_system(SpC(2))
     assert orbit(rs, (-1, 0)) == orbit(rs, (1, 0))
