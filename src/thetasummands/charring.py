@@ -1,8 +1,9 @@
 """The Weyl-invariant character ring in the orbit-sum basis.
 
-A CharElem is a finite integer combination of orbit sums We_mu (mu dominant);
-products are computed by convolving full orbit expansions, multiplicities of
-irreducible characters by the Freudenthal recursion, with the Weyl character
+A CharElem is a finite integer combination of orbit sums We_mu (mu dominant).
+Products are orbit-stabilizer counts, which walk one orbit per pair of terms
+and meet only its dominant projections; multiplicities of irreducible
+characters come from the Freudenthal recursion, with the Weyl character
 formula kept as an independent small-rank oracle.  Freudenthal runs on the
 dominant weights below lam only (the restriction of Moody and Patera, Bull.
 AMS 7, 1982); ``weight_system``, which lists every weight, is kept as a test
@@ -11,6 +12,7 @@ oracle.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -20,11 +22,17 @@ from .errors import CertificationError, InvalidInputError, ResourceCapError
 from .rootsys import Coords, RootSystem, closure
 from .weyl import dominant_projection, is_dominant, orbit, signed_orbit, weyl_group_order
 
-DEFAULT_CAP = 10**8  # convolution pairs; dominant weights of a character
+DEFAULT_CAP = 10**8  # dominant projections of a product; dominant weights of a character
 WEYL_FORMULA_GROUP_CAP = 10**4  # |W| above which the direct formula refuses
 
+# One shared tuple per distinct orbit-basis key: characters kept side by side
+# (a lambda-ring recursion, a caller's list of results) hold the same few
+# weights many times over.  It grows with the distinct dominant weights a
+# process meets.
+_KEYS: dict[Coords, Coords] = {}
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class CharElem:
     """Element of Z[X]^W in the orbit basis: sum of coeffs[mu] * We_mu."""
 
@@ -39,6 +47,7 @@ class CharElem:
             mu = self.system.normalize(mu)
             if not is_dominant(self.system, mu):
                 raise InvalidInputError(f"orbit-basis key {mu} is not dominant")
+            mu = _KEYS.setdefault(mu, mu)
             clean[mu] = clean.get(mu, 0) + c
         object.__setattr__(self, "coeffs", {m: c for m, c in clean.items() if c})
 
@@ -104,20 +113,42 @@ def char_from_json(rs: RootSystem, data) -> CharElem:
 
 
 def multiply(a: CharElem, b: CharElem, cap: int = DEFAULT_CAP) -> CharElem:
-    """Product in Z[X]^W by convolution of the full orbit expansions."""
+    """Product in Z[X]^W by orbit-stabilizer counting.
+
+    For dominant lam, mu with |O_lam| >= |O_mu|, We_lam * We_mu has the
+    coefficient |O_lam| * #{v in O_mu : dom(lam + v) = nu} / |O_nu| at nu.
+    Raises ResourceCapError, before the first one, if the product needs more
+    than cap dominant projections (the smaller orbit of each term pair)."""
+    return _product(a, b, cap)[0]
+
+
+def _product(a: CharElem, b: CharElem, cap: int) -> tuple[CharElem, int]:
+    """multiply(a, b, cap) and the number of dominant projections it took."""
     a._check_same_system(b)
     rs = a.system
-    fa, fb = a.expand(), b.expand()
-    if len(fa) * len(fb) > cap:
+    orbits = {mu: orbit(rs, mu) for mu in a.coeffs.keys() | b.coeffs.keys()}
+    work = sum(min(orbits[lam].size, orbits[mu].size)
+               for lam in a.coeffs for mu in b.coeffs)
+    if work > cap:
         raise ResourceCapError(
-            f"convolution needs {len(fa) * len(fb)} pairwise additions, cap is {cap}")
+            f"product needs {work} dominant projections, cap is {cap}")
     acc: dict[Coords, int] = {}
-    for w1, c1 in fa.items():
-        for w2, c2 in fb.items():
-            w = rs.add(w1, w2)
-            acc[w] = acc.get(w, 0) + c1 * c2
-    coeffs = {w: c for w, c in acc.items() if c and is_dominant(rs, w)}
-    return CharElem(rs, coeffs)
+    for lam, c1 in a.coeffs.items():
+        for mu, c2 in b.coeffs.items():
+            big, small = orbits[lam], orbits[mu]
+            if big.size < small.size:
+                big, small = small, big
+            hits = Counter(dominant_projection(rs, rs.add(big.dominant_rep, v))[0]
+                           for v in small.elements)
+            for nu, count in hits.items():
+                size = orbit(rs, nu).size
+                c, rem = divmod(big.size * count, size)
+                if rem:
+                    raise CertificationError(
+                        f"orbit-stabilizer count {big.size} * {count} / {size} "
+                        f"at {nu} is not an integer")
+                acc[nu] = acc.get(nu, 0) + c1 * c2 * c
+    return CharElem(rs, acc), work
 
 
 # --- weight systems and Freudenthal multiplicities --------------------------

@@ -88,9 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--system", help="root system: C<n>, A<2n-1>, SL<2n> or E6")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--cap", type=int, default=None,
-                        help="resource cap: orbit elements or dominant weights "
-                             "of a character (counted as each is found), or "
-                             "convolution pairs of one product")
+                        help="resource cap: elements of an orbit, dominant "
+                             "weights of a character, dominant projections of "
+                             "one product, or for lambda their total over the "
+                             "Newton recursion")
     parser.add_argument("--basis", choices=("epsilon", "dynkin"), default="epsilon",
                         help="coordinate basis of input weights (E6: dynkin only)")
     sub = parser.add_subparsers(dest="command", required=True)

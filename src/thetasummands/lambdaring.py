@@ -8,7 +8,7 @@ Newton-identity recursion with an exact integrality check.
 
 from __future__ import annotations
 
-from .charring import CharElem, DEFAULT_CAP, multiply, unit_char
+from .charring import CharElem, DEFAULT_CAP, _product, multiply, unit_char
 from .errors import CertificationError, InvalidInputError, ResourceCapError
 from .rootsys import Coords, RootSystem
 from .weyl import is_dominant
@@ -64,8 +64,10 @@ def lambda_power_effective(n: int, x: CharElem) -> CharElem:
 def lambda_power_virtual(n: int, x: CharElem, cap: int = DEFAULT_CAP) -> CharElem:
     """n-th lambda power: the Adams-to-lambda transform of Psi^1(x)..Psi^n(x).
 
-    The Adams operations of one element always satisfy the Newton identities,
-    so a non-integral coefficient is a CertificationError here."""
+    cap bounds the whole recursion: each of its O(n^2) products is charged
+    its dominant projections plus one.  The Adams operations of one element
+    always satisfy the Newton identities, so a non-integral coefficient is a
+    CertificationError here."""
     if n < 0:
         raise InvalidInputError(f"lambda power index must be >= 0, got {n}")
     psis = [adams(i, x) for i in range(1, n + 1)]
@@ -103,13 +105,24 @@ def _adams_to_lambda(rs: RootSystem, psis: list[CharElem], cap: int,
 
         k * lambda^k = sum_{i=1..k} (-1)^(i-1) lambda^(k-i) * Psi^i,
 
-    raising error where a coefficient is not divisible by k."""
+    raising error where a coefficient is not divisible by k.  Each product
+    costs its dominant projections plus one, so that products with a zero
+    factor count too; ResourceCapError is raised before the product that
+    would take the total past cap."""
     p = [unit_char(rs)] + list(psis)
     e: list[CharElem] = [unit_char(rs)]
+    products = projections = 0
     for k in range(1, len(p)):
         acc = CharElem(rs)
         for i in range(1, k + 1):
-            term = multiply(e[k - i], p[i], cap)
+            try:
+                term, work = _product(e[k - i], p[i], cap - products - projections - 1)
+            except ResourceCapError as exc:
+                raise ResourceCapError(
+                    f"Newton recursion exceeds the cap of {cap} after {products} "
+                    f"products and {projections} dominant projections") from exc
+            products += 1
+            projections += work
             acc = acc + (term if i % 2 else term.scale(-1))
         coeffs = {}
         for mu, c in acc.coeffs.items():

@@ -1,13 +1,14 @@
 """Weyl group actions: reflections, dominant projection, orbit enumeration,
-and the group order in closed form."""
+and the group order and orbit sizes in closed form."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .errors import InvalidInputError
+from .errors import CertificationError, InvalidInputError, ResourceCapError
 from .rootsys import Coords, RootSystem, closure
 
 DEFAULT_ORBIT_CAP = 10**6
@@ -48,21 +49,55 @@ class OrbitSum:
 
 def orbit(rs: RootSystem, lam, cap: int = DEFAULT_ORBIT_CAP) -> OrbitSum:
     """Breadth-first closure under simple reflections; any orbit member may
-    be passed in, the stored representative is the dominant one.  Raises
-    ResourceCapError at the first element past cap."""
+    be passed in, the stored representative is the dominant one.
+
+    With cap below DEFAULT_ORBIT_CAP the closed-form orbit_size is compared
+    with cap first, so ResourceCapError is raised before any walk; the walk
+    itself never exceeds DEFAULT_ORBIT_CAP elements."""
     lam, _ = dominant_projection(rs, lam)
-    return _orbit_cached(rs, lam, cap)
+    if cap < DEFAULT_ORBIT_CAP:
+        size = orbit_size(rs, lam)
+        if size > cap:
+            raise ResourceCapError(
+                f"orbit of {lam} in {rs} has {size} elements, more than the cap of {cap}")
+    return _orbit_cached(rs, lam)
 
 
 @lru_cache(maxsize=4096)
-def _orbit_cached(rs: RootSystem, lam: Coords, cap: int) -> OrbitSum:
+def _orbit_cached(rs: RootSystem, lam: Coords) -> OrbitSum:
     seen = closure([lam], lambda w: (rs.reflect(i, w) for i in range(rs.rank)),
-                   cap, f"orbit of {lam} in {rs}")
+                   DEFAULT_ORBIT_CAP, f"orbit of {lam} in {rs}")
     return OrbitSum(rs, lam, tuple(sorted(seen)))
 
 
 def orbit_size(rs: RootSystem, lam) -> int:
-    return orbit(rs, lam).size
+    """|W| / |W_lam| without walking the orbit.
+
+    The stabilizer of the dominant representative is the parabolic subgroup
+    generated by the simple reflections at its zero Dynkin labels; its
+    positive roots are the positive roots orthogonal to lam, which are those
+    supported on the zero labels.  The order of a Weyl group is the product
+    over its positive roots alpha of (ht alpha + 1) / ht alpha."""
+    lam, _ = dominant_projection(rs, lam)
+    zero = {i for i, label in enumerate(rs.dynkin_labels(lam)) if label == 0}
+    stabilizer = Fraction(1)
+    for support, height in _positive_root_supports(rs):
+        if support <= zero:
+            stabilizer *= Fraction(height + 1, height)
+    size = weyl_group_order(rs) / stabilizer
+    if size.denominator != 1:
+        raise CertificationError(f"non-integral orbit size {size} for {lam} in {rs}")
+    return int(size)
+
+
+@lru_cache(maxsize=None)
+def _positive_root_supports(rs: RootSystem) -> tuple[tuple[frozenset[int], int], ...]:
+    """(simple roots in the support, height) of each positive root."""
+    out = []
+    for alpha in rs.positive_roots:
+        coeffs = rs.root_basis_coords(alpha)
+        out.append((frozenset(i for i, c in enumerate(coeffs) if c), int(sum(coeffs))))
+    return tuple(out)
 
 
 def weyl_group_order(rs: RootSystem) -> int:

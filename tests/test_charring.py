@@ -1,15 +1,22 @@
 """Character ring: orbit basis, Freudenthal multiplicities, Weyl formulas."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from thetasummands import charring, weyl
 from thetasummands.charring import (CharElem, char_from_json,
                                     decompose_into_irreducibles,
                                     freudenthal_character, multiply,
                                     orbit_char, tensor_decompose, unit_char,
                                     weight_system, weyl_character_direct,
                                     weyl_dimension)
-from thetasummands.errors import InvalidInputError, ResourceCapError
+from thetasummands.errors import (CertificationError, InvalidInputError,
+                                  ResourceCapError)
 from thetasummands.rootsys import E6, SlA, SpC, build_root_system
+from thetasummands.suites import (dominant_weights_a, dominant_weights_c,
+                                  dominant_weights_e6)
+from thetasummands.weyl import is_dominant
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +62,82 @@ def test_multiply_cap(c2):
     x = orbit_char(c2, (3, 2))
     with pytest.raises(ResourceCapError):
         multiply(x, x, cap=5)
+
+
+def convolve(a: CharElem, b: CharElem) -> CharElem:
+    """Oracle for multiply: convolve the full orbit expansions of both
+    factors and keep the dominant weights."""
+    rs = a.system
+    acc = {}
+    for w1, c1 in a.expand().items():
+        for w2, c2 in b.expand().items():
+            w = rs.add(w1, w2)
+            acc[w] = acc.get(w, 0) + c1 * c2
+    return CharElem(rs, {w: c for w, c in acc.items() if is_dominant(rs, w)})
+
+
+E6_ZERO = (0,) * 6
+ORACLE_WEIGHTS = {
+    "C3": (SpC(3), list(dominant_weights_c(3, 4))),
+    "SL4": (SlA(2), list(dominant_weights_a(2, 4))),
+    "E6": (E6, [E6_ZERO] + list(dominant_weights_e6(1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_WEIGHTS))
+def test_multiply_matches_convolution_on_orbit_pairs(name):
+    kind, weights = ORACLE_WEIGHTS[name]
+    rs = build_root_system(kind)
+    # each unordered pair once: the weights are in no order of orbit size,
+    # so both factors take the larger-orbit role
+    for i, lam in enumerate(weights):
+        for mu in weights[i:]:
+            a, b = orbit_char(rs, lam), orbit_char(rs, mu)
+            assert multiply(a, b) == convolve(a, b), (lam, mu)
+
+
+# small orbits only on E6, so that the oracle's convolution stays cheap
+PROPERTY_WEIGHTS = {
+    "C3": (SpC(3), list(dominant_weights_c(3, 3))),
+    "SL4": (SlA(2), list(dominant_weights_a(2, 3))),
+    "E6": (E6, [E6_ZERO, (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1),
+                (0, 1, 0, 0, 0, 0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROPERTY_WEIGHTS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_multiply_matches_convolution_on_virtual_characters(name, data):
+    kind, weights = PROPERTY_WEIGHTS[name]
+    rs = build_root_system(kind)
+    terms = st.dictionaries(st.sampled_from(weights),
+                            st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
+    a = CharElem(rs, data.draw(terms))
+    b = CharElem(rs, data.draw(terms))
+    assert multiply(a, b) == convolve(a, b)
+
+
+def test_multiply_cap_counts_the_smaller_orbit():
+    rs = build_root_system(E6)
+    a = orbit_char(rs, (1, 0, 0, 0, 0, 0))
+    b = orbit_char(rs, (0, 0, 0, 0, 0, 1))
+    assert multiply(a, b, cap=27) == convolve(a, b)
+    with pytest.raises(ResourceCapError):
+        multiply(a, b, cap=26)
+
+
+def test_multiply_certifies_the_orbit_stabilizer_count(c2, monkeypatch):
+    # (1,0) + O_(1,0) projects twice onto (1,1): 4 * 2 / 3 is not an integer
+    def orbit_missing_an_element(rs, mu, cap=weyl.DEFAULT_ORBIT_CAP):
+        orb = weyl.orbit(rs, mu, cap)
+        if orb.dominant_rep == (1, 1):
+            return weyl.OrbitSum(rs, orb.dominant_rep, orb.elements[1:])
+        return orb
+    monkeypatch.setattr(charring, "orbit", orbit_missing_an_element)
+    x = orbit_char(c2, (1, 0))
+    with pytest.raises(CertificationError):
+        multiply(x, x)
 
 
 def test_weight_system_c2(c2):

@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: parsing, output formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,6 +127,18 @@ def test_char_cap_exit_2():
     assert r.status == "error"
     assert run(["--system", "C3", "--cap", "8", "char",
                 "--weight", "3,2,1"]).exit_code == 0
+
+
+def test_lambda_cap_bounds_the_newton_recursion():
+    # each of the O(n^2) products is small; the cap bounds their total
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "thetasummands.cli", "--system", "C2", "--cap", "1000",
+         "lambda", "--n", "1500", "--weight", "1,0"],
+        capture_output=True, text=True, timeout=5,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 2
+    assert "products" in json.loads(proc.stderr)["message"]
 
 
 def test_certification_failure_exit_3(monkeypatch):

@@ -1,11 +1,14 @@
 """Lambda and Adams operations, Newton transforms, root-lattice classes."""
 
+from math import comb
+
 import pytest
 
 from thetasummands import lambdaring
 from thetasummands.charring import (CharElem, freudenthal_character, multiply,
                                     orbit_char, unit_char)
-from thetasummands.errors import CertificationError, InvalidInputError
+from thetasummands.errors import (CertificationError, InvalidInputError,
+                                  ResourceCapError)
 from thetasummands.lambdaring import (adams, factors_through_root_lattice,
                                       lambda_power_effective,
                                       lambda_power_virtual, newton_transforms,
@@ -112,6 +115,30 @@ def test_lambda_virtual_reports_a_broken_newton_identity(c2, monkeypatch):
     monkeypatch.setattr(lambdaring, "adams", lambda n, x: x)
     with pytest.raises(CertificationError):
         lambda_power_virtual(2, orbit_char(c2, (1, 0)))
+
+
+def test_products_never_expand_orbits(monkeypatch):
+    # products walk one orbit per term pair; the full-expansion convolution
+    # is only the oracle in test_charring
+    def no_expand(self):
+        pytest.fail("a product expanded a full weight multiset")
+    rs = build_root_system(E6)
+    x = orbit_char(rs, (1, 0, 0, 0, 0, 0)) + unit_char(rs)
+    psis = [adams(k, x) for k in range(1, 4)]
+    monkeypatch.setattr(CharElem, "expand", no_expand)
+    assert multiply(x, x).dimension() == 28 * 28
+    assert lambda_power_virtual(3, x).dimension() == comb(28, 3)
+    lambdas = newton_transforms("adams_to_lambda", psis)
+    assert [e.dimension() for e in lambdas] == [comb(28, k) for k in range(1, 4)]
+
+
+def test_lambda_virtual_cap_bounds_the_whole_recursion(c2):
+    # lambda^k of a 4-dimensional character vanishes for k > 4, so most
+    # products have a zero factor and cost one each
+    std = orbit_char(c2, (1, 0))
+    with pytest.raises(ResourceCapError, match="products"):
+        lambda_power_virtual(60, std, cap=1000)
+    assert lambda_power_virtual(5, std, cap=1000).is_zero
 
 
 def test_root_lattice_class(c2, sl4):

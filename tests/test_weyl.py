@@ -4,10 +4,14 @@ from math import factorial
 
 import pytest
 
+from thetasummands import weyl
 from thetasummands.errors import InvalidInputError, ResourceCapError
 from thetasummands.rootsys import E6, SlA, SpC, build_root_system
-from thetasummands.weyl import (dominant_projection, is_dominant, orbit,
-                                orbit_size, signed_orbit, weyl_group_order)
+from thetasummands.suites import (dominant_weights_a, dominant_weights_c,
+                                  dominant_weights_e6)
+from thetasummands.weyl import (DEFAULT_ORBIT_CAP, dominant_projection,
+                                is_dominant, orbit, orbit_size, signed_orbit,
+                                weyl_group_order)
 
 
 def test_is_dominant():
@@ -39,6 +43,35 @@ def test_orbit_cap_counts_each_element():
         orbit(rs, (3, 2, 1), cap=47)
 
 
+def test_orbit_cache_key_leaves_out_the_cap():
+    rs = build_root_system(SpC(3))
+    weyl._orbit_cached.cache_clear()
+    for cap in (DEFAULT_ORBIT_CAP, 48, 49):
+        assert orbit(rs, (3, 2, 1), cap=cap).size == 48
+    info = weyl._orbit_cached.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    # a cap below the closed-form size raises before any walk
+    with pytest.raises(ResourceCapError):
+        orbit(rs, (3, 2, 1), cap=47)
+    with pytest.raises(ResourceCapError):
+        orbit(rs, (4, 2, 1), cap=47)
+    assert weyl._orbit_cached.cache_info() == info
+
+
+ORBIT_SIZE_WEIGHTS = (
+    [(SpC(n), list(dominant_weights_c(n, 4))) for n in range(1, 6)]
+    + [(SlA(n), list(dominant_weights_a(n, 4))) for n in range(1, 4)]
+    + [(E6, [(0,) * 6] + list(dominant_weights_e6(2)))])
+
+
+@pytest.mark.parametrize("kind, weights", ORBIT_SIZE_WEIGHTS,
+                         ids=[str(kind) for kind, _ in ORBIT_SIZE_WEIGHTS])
+def test_orbit_size_closed_form_matches_the_walk(kind, weights):
+    rs = build_root_system(kind)
+    for w in weights:
+        assert orbit_size(rs, w) == len(orbit(rs, w).elements), w
+
+
 def test_orbit_accepts_nondominant_input():
     rs = build_root_system(SpC(2))
     assert orbit(rs, (-1, 0)) == orbit(rs, (1, 0))
@@ -66,7 +99,7 @@ def test_weyl_group_orders():
 def test_weyl_group_order_closed_form_matches_rho_orbit(kind):
     # W acts simply transitively on the orbit of the regular weight rho
     rs = build_root_system(kind)
-    assert weyl_group_order(rs) == orbit_size(rs, rs.weyl_vector_rho)
+    assert weyl_group_order(rs) == len(orbit(rs, rs.weyl_vector_rho).elements)
 
 
 def test_orbit_sizes_divide_group_order():
