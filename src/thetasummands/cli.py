@@ -70,6 +70,10 @@ def _case(args) -> CaseSpec:
     return CaseSpec(kind, args.genus)
 
 
+def _cap(args, default: int) -> int:
+    return default if args.cap is None else args.cap
+
+
 def _reduce_for(rs: RootSystem, lam):
     fam = rs.kind.family
     if fam == "C":
@@ -88,10 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--system", help="root system: C<n>, A<2n-1>, SL<2n> or E6")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--cap", type=int, default=None,
-                        help="resource cap: elements of an orbit, dominant "
-                             "weights of a character, dominant projections of "
-                             "one product, or for lambda their total over the "
-                             "Newton recursion")
+                        help="resource cap, at least 1: elements of an orbit, "
+                             "dominant weights of a character, dominant "
+                             "projections of one product, or for lambda their "
+                             "total over the Newton recursion")
     parser.add_argument("--basis", choices=("epsilon", "dynkin"), default="epsilon",
                         help="coordinate basis of input weights (E6: dynkin only)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -145,11 +149,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(args) -> CommandResult:
+    if args.cap is not None and args.cap < 1:
+        raise InvalidInputError(f"--cap must be at least 1, got {args.cap}")
     cmd = args.command
     if cmd == "orbit":
         rs = _system(args)
         w = _weight(rs, args.weight, args.basis)
-        orb = orbit(rs, w, cap=args.cap or DEFAULT_ORBIT_CAP)
+        orb = orbit(rs, w, cap=_cap(args, DEFAULT_ORBIT_CAP))
         payload = {"system": str(rs), "dominant": list(orb.dominant_rep),
                    "size": orb.size}
         if args.list_elements:
@@ -176,7 +182,7 @@ def dispatch(args) -> CommandResult:
     if cmd == "char":
         rs = _system(args)
         lam = _weight(rs, args.weight, args.basis)
-        ch = freudenthal_character(rs, lam, cap=args.cap or DEFAULT_CAP)
+        ch = freudenthal_character(rs, lam, cap=_cap(args, DEFAULT_CAP))
         return CommandResult("ok", {"system": str(rs), "orbit_basis": ch.to_json(),
                                     "dimension": ch.dimension()})
     if cmd == "dim":
@@ -188,16 +194,16 @@ def dispatch(args) -> CommandResult:
         rs = _system(args)
         lam = _weight(rs, args.weight, args.basis)
         mu = _weight(rs, args.other, args.basis)
-        dec = tensor_decompose(rs, lam, mu, cap=args.cap or DEFAULT_CAP)
+        dec = tensor_decompose(rs, lam, mu, cap=_cap(args, DEFAULT_CAP))
         return CommandResult("ok", {"system": str(rs),
                                     "irreducibles": dec.to_json(),
                                     "dimension": dec.dimension()})
     if cmd in ("lambda", "adams"):
         rs = _system(args)
         lam = _weight(rs, args.weight, args.basis)
-        ch = freudenthal_character(rs, lam, cap=args.cap or DEFAULT_CAP)
+        ch = freudenthal_character(rs, lam, cap=_cap(args, DEFAULT_CAP))
         if cmd == "lambda":
-            out = lambda_power_virtual(args.n, ch, cap=args.cap or DEFAULT_CAP)
+            out = lambda_power_virtual(args.n, ch, cap=_cap(args, DEFAULT_CAP))
         else:
             out = adams(args.n, ch)
         return CommandResult("ok", {"system": str(rs), "n": args.n,

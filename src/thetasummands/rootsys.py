@@ -12,7 +12,10 @@ Weights are plain tuples of integers in the system's canonical coordinates:
 * ``E6``: length-6 Dynkin labels (coefficients on the fundamental weights),
   Bourbaki numbering with the branch node alpha_2 attached to alpha_4.
 
-All arithmetic is exact (ints and fractions.Fraction).
+All arithmetic is exact (ints and fractions.Fraction).  Building a root
+system needs integers only: the positive roots come from root strings over
+the Cartan matrix, rho is certified by an integer identity, and the Cartan
+inverse is found by fraction-free elimination, with one Fraction per entry.
 """
 
 from __future__ import annotations
@@ -92,20 +95,27 @@ def parse_kind(name: str) -> RootSystemKind:
 
 
 def _invert_exact(mat):
-    """Exact inverse of an integer matrix, as a tuple of Fraction rows."""
+    """Exact inverse of an integer matrix, as a tuple of Fraction rows.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss): every division by the
+    previous pivot is exact, and the left block ends as d * I with
+    d = +-det, so each entry needs one Fraction at the end.
+    """
     r = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(r)] + [Fraction(int(i == j)) for j in range(r)]
-           for i in range(r)]
+    aug = [list(mat[i]) + [int(i == j) for j in range(r)] for i in range(r)]
+    prev = 1
     for col in range(r):
         piv = next(i for i in range(col, r) if aug[i][col] != 0)
         aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
+        top = aug[col]
+        pv = top[col]
         for i in range(r):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return tuple(tuple(row[r:]) for row in aug)
+            if i != col:
+                row = aug[i]
+                f = row[col]
+                aug[i] = [(pv * a - f * b) // prev for a, b in zip(row, top)]
+        prev = pv
+    return tuple(tuple(Fraction(a, aug[i][i]) for a in aug[i][r:]) for i in range(r))
 
 
 @dataclass(frozen=True)
@@ -247,24 +257,17 @@ def build_root_system(kind: RootSystemKind) -> RootSystem:
     else:
         rank, coord_len, exponent = 6, 6, 3
 
-    simple = _simple_roots(kind)
-
-    # probe object with just enough structure for pairing computations
-    probe = RootSystem(kind, rank, coord_len, (), (), simple, (), (), (), exponent)
-    cartan = tuple(tuple(probe.pairing(simple[i], j) for j in range(rank))
-                   for i in range(rank))
-    cartan_inv = _invert_exact(cartan)
-    probe = RootSystem(kind, rank, coord_len, cartan, cartan_inv, simple, (), (), (), exponent)
-
-    if fam == "A":
-        simple = tuple(probe.normalize(r) for r in simple)
-        probe = RootSystem(kind, rank, coord_len, cartan, cartan_inv, simple, (), (), (), exponent)
+    # probe objects with just enough structure for normalize and pairing
+    probe = RootSystem(kind, rank, coord_len, (), (), (), (), (), (), exponent)
+    simple = tuple(probe.normalize(r) for r in _simple_roots(kind))
+    cartan = tuple(tuple(probe.pairing(r, j) for j in range(rank)) for r in simple)
+    probe = RootSystem(kind, rank, coord_len, cartan, (), simple, (), (), (), exponent)
 
     fundamental = tuple(probe.normalize(_fundamental_weight(kind, d + 1)) for d in range(rank))
     positive = _positive_roots(probe)
     rho = _rho(probe, positive, fundamental)
 
-    return RootSystem(kind, rank, coord_len, cartan, cartan_inv, simple,
+    return RootSystem(kind, rank, coord_len, cartan, _invert_exact(cartan), simple,
                       fundamental, positive, rho, exponent)
 
 
@@ -292,32 +295,55 @@ def closure(start, step, cap: int, what: str) -> set:
 
 
 def _positive_roots(rs: RootSystem) -> tuple[Coords, ...]:
-    """All roots via closure of the simple roots under simple reflections,
-    intersected with the positive cone."""
-    # C_n has 2n^2 roots, A_r has r(r+1) and E6 has 72 = 2 * 6^2, so this
-    # cap is never reached
-    roots = closure(rs.simple_roots,
-                    lambda r: (rs.reflect(i, r) for i in range(rs.rank)),
-                    2 * rs.rank**2, f"root system {rs}")
-    positive = [r for r in roots if all(c >= 0 for c in rs.root_basis_coords(r))]
+    """All positive roots, grown height by height from the simple roots by
+    root strings (Humphreys, Lie algebras, sections 10-11).
+
+    Roots are built in simple-root coordinates: for a positive root beta and
+    a simple root alpha_j, beta + alpha_j is a root exactly when
+    q = p - <beta, alpha_j^vee> > 0, where p is the length of the
+    alpha_j-string below beta, read off the roots of lower height.  Only
+    integers are used; the result is in canonical coordinates, sorted.
+    """
+    rank, cartan = rs.rank, rs.cartan
+    # simple-root coordinates -> the pairings <beta, alpha_j^vee> for all j
+    found = {tuple(int(i == j) for i in range(rank)): cartan[j] for j in range(rank)}
+    layer = list(found)
+    while layer:
+        grown = {}
+        for beta in layer:
+            pairs = found[beta]
+            for j in range(rank):
+                p, below = 0, beta
+                while True:
+                    below = below[:j] + (below[j] - 1,) + below[j + 1:]
+                    if below not in found:
+                        break
+                    p += 1
+                if p - pairs[j] > 0:
+                    up = beta[:j] + (beta[j] + 1,) + beta[j + 1:]
+                    grown[up] = tuple(a + b for a, b in zip(pairs, cartan[j]))
+        found.update(grown)
+        layer = list(grown)
+        # C_n has n^2 positive roots, A_r has r(r+1)/2 and E6 has 36
+        if len(found) > rank**2:
+            raise CertificationError(f"{rs}: root strings give more than {rank**2} "
+                                     "positive roots")
+    positive = (rs.normalize(tuple(sum(c * a for c, a in zip(beta, col))
+                                   for col in zip(*rs.simple_roots)))
+                for beta in found)
     return tuple(sorted(positive))
 
 
 def _rho(rs: RootSystem, positive, fundamental) -> Coords:
-    half = [Fraction(0)] * rs.coord_len
-    for r in positive:
-        for i, c in enumerate(r):
-            half[i] += Fraction(c, 2)
+    """rho = sum of the fundamental weights, certified by the integer
+    identity sum of the positive roots = 2 rho (modulo the determinant
+    character (1,...,1) for A-kind)."""
     rho = rs.zero()
     for f in fundamental:
         rho = rs.add(rho, f)
-    # consistency: half-sum of positive roots == sum of fundamental weights
-    diff = [h - r for h, r in zip(half, rho)]
-    if rs.kind.family == "A":
-        ok = len(set(diff)) == 1  # equal modulo the determinant character
-    else:
-        ok = all(d == 0 for d in diff)
-    if not ok:
+    total = [sum(col) for col in zip(*positive)]
+    diff = {t - 2 * r for t, r in zip(total, rho)}
+    if not (len(diff) == 1 if rs.kind.family == "A" else diff == {0}):
         raise CertificationError(f"{rs}: rho consistency check failed")
     return rho
 

@@ -129,16 +129,39 @@ def test_char_cap_exit_2():
                 "--weight", "3,2,1"]).exit_code == 0
 
 
-def test_lambda_cap_bounds_the_newton_recursion():
-    # each of the O(n^2) products is small; the cap bounds their total
+def run_subprocess(argv):
     src = Path(cli.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "thetasummands.cli", "--system", "C2", "--cap", "1000",
-         "lambda", "--n", "1500", "--weight", "1,0"],
+    return subprocess.run(
+        [sys.executable, "-m", "thetasummands.cli", *argv],
         capture_output=True, text=True, timeout=5,
         env=dict(os.environ, PYTHONPATH=str(src)))
+
+
+def test_lambda_cap_bounds_the_newton_recursion():
+    # each of the O(n^2) products is small; the cap bounds their total
+    proc = run_subprocess(["--system", "C2", "--cap", "1000",
+                           "lambda", "--n", "1500", "--weight", "1,0"])
     assert proc.returncode == 2
     assert "products" in json.loads(proc.stderr)["message"]
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_below_one_is_invalid_input(cap):
+    # a zero cap used to fall back to the default, a negative one tripped
+    proc = run_subprocess(["--system", "C3", "--cap", cap, "char",
+                           "--weight", "1,0,0"])
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["message"] == f"--cap must be at least 1, got {cap}"
+    assert run(["--system", "C2", "--cap", cap, "dim", "--weight", "1,0"]).exit_code == 1
+
+
+def test_cap_of_one_is_passed_on():
+    # (1,0,0) has one dominant weight below it, (2,0,0) has three
+    assert run_subprocess(["--system", "C3", "--cap", "1", "char",
+                           "--weight", "1,0,0"]).returncode == 0
+    proc = run_subprocess(["--system", "C3", "--cap", "1", "char", "--weight", "2,0,0"])
+    assert proc.returncode == 2
+    assert "cap of 1" in json.loads(proc.stderr)["message"]
 
 
 def test_certification_failure_exit_3(monkeypatch):

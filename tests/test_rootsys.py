@@ -1,13 +1,56 @@
 """Root system construction, coordinates, and exact linear algebra."""
 
+import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from thetasummands.errors import InvalidInputError, ResourceCapError
+from thetasummands import rootsys
+from thetasummands.errors import (CertificationError, InvalidInputError,
+                                  ResourceCapError)
 from thetasummands.rootsys import (E6, SlA, SpC, build_root_system, closure,
                                    convert_coordinates, parse_kind,
                                    weight_from_dynkin)
+from thetasummands.weyl import weyl_group_order
+
+ORACLE_KINDS = [SpC(n) for n in range(1, 10)] + [SlA(n) for n in range(1, 8)] + [E6]
+
+
+def gauss_jordan_inverse(mat):
+    """Oracle: the inverse by Gauss-Jordan elimination over Fraction."""
+    r = len(mat)
+    aug = [[Fraction(mat[i][j]) for j in range(r)] + [Fraction(int(i == j)) for j in range(r)]
+           for i in range(r)]
+    for col in range(r):
+        piv = next(i for i in range(col, r) if aug[i][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for i in range(r):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
+    return tuple(tuple(row[r:]) for row in aug)
+
+
+def reflection_positive_roots(rs):
+    """Oracle: every root as the closure of the simple roots under simple
+    reflections, kept where its simple-root coordinates are nonnegative."""
+    roots = closure(rs.simple_roots,
+                    lambda r: (rs.reflect(i, r) for i in range(rs.rank)),
+                    2 * rs.rank**2, f"root system {rs}")
+    return tuple(sorted(r for r in roots
+                        if all(c >= 0 for c in rs.root_basis_coords(r))))
+
+
+def integral_weight(rs, vec):
+    """The weight with these rational coordinates; for A-kind the vector is
+    first moved by a multiple of (1,...,1) to make it integral."""
+    shift = vec[-1] if rs.kind.family == "A" else 0
+    shifted = [c - shift for c in vec]
+    assert all(c.denominator == 1 for c in shifted)
+    return rs.normalize(int(c) for c in shifted)
 
 
 def test_parse_kind():
@@ -164,3 +207,61 @@ def test_closure_checks_the_cap_at_every_insertion():
     assert closure([0], lambda x: [(x + 1) % 10], 10, "Z/10") == set(range(10))
     with pytest.raises(ResourceCapError, match="Z/10"):
         closure([0], lambda x: [(x + 1) % 10], 9, "Z/10")
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS, ids=str)
+def test_root_strings_match_the_reflection_oracle(kind):
+    rs = build_root_system(kind)
+    assert rs.cartan_inv == gauss_jordan_inverse(rs.cartan)
+    positive = reflection_positive_roots(rs)
+    assert rs.positive_roots == positive
+    half = [sum(Fraction(c, 2) for c in col) for col in zip(*positive)]
+    assert rs.weyl_vector_rho == integral_weight(rs, half)
+    # varpi_i = sum_j (C^-1)_ij alpha_j
+    assert rs.fundamental_weights == tuple(
+        integral_weight(rs, [sum(c * a for c, a in zip(row, col))
+                             for col in zip(*rs.simple_roots)])
+        for row in gauss_jordan_inverse(rs.cartan))
+    # |Phi+| = rank h / 2 and the highest root has height h - 1, where h is
+    # the Coxeter number; |W| is the product of (ht a + 1) / ht a
+    h = 12 if kind == E6 else 2 * kind.n
+    heights = [sum(rs.root_basis_coords(r)) for r in positive]
+    assert 2 * len(positive) == rs.rank * h
+    assert max(heights) == h - 1
+    assert prod(Fraction(t + 1, t) for t in heights) == weyl_group_order(rs)
+
+
+def test_cartan_inverse_matches_gauss_jordan_on_random_matrices():
+    # the zero-heavy entries force row swaps
+    rng = random.Random(0)
+    checked = 0
+    while checked < 300:
+        r = rng.randint(1, 6)
+        mat = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(r)] for _ in range(r)]
+        try:
+            expected = gauss_jordan_inverse(mat)
+        except StopIteration:  # singular
+            continue
+        assert rootsys._invert_exact(mat) == expected
+        checked += 1
+
+
+@pytest.mark.parametrize("kind", [SpC(1), SpC(4), SlA(1), SlA(3), E6], ids=str)
+def test_roots_and_rho_use_integers_only(monkeypatch, kind):
+    rs = build_root_system(kind)
+
+    def no_fraction(*args):
+        pytest.fail("root construction used Fraction arithmetic")
+    monkeypatch.setattr(rootsys, "Fraction", no_fraction)
+    assert rootsys._positive_roots(rs) == rs.positive_roots
+    assert rootsys._rho(rs, rs.positive_roots, rs.fundamental_weights) == rs.weyl_vector_rho
+
+
+@pytest.mark.parametrize("kind", [SpC(1), SpC(4), SlA(1), SlA(3), E6], ids=str)
+def test_rho_certifies_the_positive_roots(kind):
+    rs = build_root_system(kind)
+    positive = list(rs.positive_roots)
+    for corrupted in (positive[1:], positive + [rs.simple_roots[0]],
+                      [rs.scale(-1, r) if i == 0 else r for i, r in enumerate(positive)]):
+        with pytest.raises(CertificationError, match="rho"):
+            rootsys._rho(rs, corrupted, rs.fundamental_weights)
