@@ -61,7 +61,6 @@ class SupportExpr:
     sign: int = 0            # fano: +1 or -1
     weight: Coords = ()      # general: the defining dominant weight
     dim: int | None = None
-    translate_marker: bool = True
 
     def label(self) -> str:
         if self.variant == "point":

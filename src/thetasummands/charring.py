@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .dominance import dominance_compare, dominant_weights_below
 from .errors import CertificationError, InvalidInputError, ResourceCapError
-from .rootsys import Coords, RootSystem, closure
+from .rootsys import Coords, RootSystem, closure, weight_from_dynkin
 from .weyl import dominant_projection, is_dominant, orbit, signed_orbit, weyl_group_order
 
 DEFAULT_CAP = 10**8  # dominant projections of a product; dominant weights of a character
@@ -178,14 +178,19 @@ def freudenthal_character(rs: RootSystem, lam, cap: int = DEFAULT_CAP) -> CharEl
     """ch V_lam in the orbit basis: coeffs[mu] = m_lam(mu) for dominant mu.
 
     Raises ResourceCapError, before any multiplicity is computed, if more
-    than cap dominant weights lie below lam.
+    than cap dominant weights lie below lam.  The cache is keyed without
+    the cap: a cap below DEFAULT_CAP is checked by walking the dominant
+    weights first.
     """
-    return _freudenthal_cached(rs, rs.normalize(lam), cap)
+    lam = rs.normalize(lam)
+    if cap < DEFAULT_CAP:
+        dominant_weights_below(rs, lam, cap)
+    return _freudenthal_cached(rs, lam)
 
 
 @lru_cache(maxsize=4096)
-def _freudenthal_cached(rs: RootSystem, lam: Coords, cap: int) -> CharElem:
-    dominant = dominant_weights_below(rs, lam, cap)
+def _freudenthal_cached(rs: RootSystem, lam: Coords) -> CharElem:
+    dominant = dominant_weights_below(rs, lam, DEFAULT_CAP)
     # height of lam - mu on the simple roots; higher weights come first
     height = {mu: sum(dominance_compare(rs, lam, mu).root_coefficients)
               for mu in dominant}
@@ -230,9 +235,14 @@ def weyl_dimension(rs: RootSystem, lam) -> int:
 
 
 def weyl_character_direct(rs: RootSystem, lam) -> CharElem:
-    """ch V_lam by the alternating-sum formula and exact polynomial division.
+    """ch V_lam by the Weyl character formula: the signed orbit of lam + rho
+    divided exactly by the signed orbit of rho.
 
-    Small-rank oracle only; refuses when |W| exceeds WEYL_FORMULA_GROUP_CAP.
+    The division runs in the group ring of the weight lattice with Dynkin
+    labels as exponents, a faithful Z^rank for C_n, A_{2n-1} and E6; the
+    quotient's terms with nonnegative labels are the orbit-basis
+    coefficients.  Small-rank oracle only; refuses when |W| exceeds
+    WEYL_FORMULA_GROUP_CAP.
     """
     lam = rs.normalize(lam)
     if not is_dominant(rs, lam):
@@ -241,50 +251,29 @@ def weyl_character_direct(rs: RootSystem, lam) -> CharElem:
         raise ResourceCapError(f"|W| = {weyl_group_order(rs)} exceeds the oracle "
                                f"cap {WEYL_FORMULA_GROUP_CAP}")
     rho = rs.weyl_vector_rho
-    if rs.kind.family == "A":
-        # work with honest Z^{2n} lifts: each signed orbit lives on a
-        # fixed-coordinate-sum hyperplane, so division happens in Z[Z^{2n}]
-        numer = _signed_orbit_poly_lifted(rs, rs.add(lam, rho))
-        denom = _signed_orbit_poly_lifted(rs, rho)
-    else:
-        numer = {w: s for w, s in signed_orbit(rs, rs.add(lam, rho)).items()}
-        denom = {w: s for w, s in signed_orbit(rs, rho).items()}
+    numer, denom = ({rs.dynkin_labels(w): sign for w, sign in signed_orbit(rs, v).items()}
+                    for v in (rs.add(lam, rho), rho))
     quotient = _laurent_divide(numer, denom)
-    coeffs = {}
-    for expo, c in quotient.items():
-        w = rs.normalize(expo)
-        if is_dominant(rs, w):
-            coeffs[w] = coeffs.get(w, 0) + c
-    return CharElem(rs, coeffs)
-
-
-def _signed_orbit_poly_lifted(rs: RootSystem, v: Coords) -> dict[Coords, int]:
-    """Signed Weyl orbit of an A-kind weight, lifted to permutations of a
-    fixed integer vector in Z^{2n}."""
-    # the normalized representatives of a permutation orbit may differ by
-    # multiples of det; re-lift each to the entry multiset of v itself
-    base = tuple(sorted(v))
-    out = {}
-    for w, s in signed_orbit(rs, v).items():
-        shift = base[0] - min(w)
-        lift = tuple(c + shift for c in w)
-        if tuple(sorted(lift)) != base:
-            raise CertificationError("lift does not permute the base multiset")
-        out[lift] = s
-    return out
+    return CharElem(rs, {weight_from_dynkin(rs, labels): c
+                         for labels, c in quotient.items() if min(labels) >= 0})
 
 
 def _laurent_divide(numer: dict[Coords, int], denom: dict[Coords, int]) -> dict[Coords, int]:
-    """Exact division in the group ring Z[Z^k] with lex leading terms."""
+    """Exact division in the group ring Z[Z^k] with lex leading terms.
+
+    The lead coefficient of denom must be a unit, 1 or -1: in lex order on
+    Dynkin labels the lead of the signed rho-orbit is -1 for C2, C4 and A3.
+    """
     rem = dict(numer)
     lead_d = max(denom)
-    if denom[lead_d] != 1:
-        raise CertificationError("denominator is not monic in lex order")
+    unit = denom[lead_d]
+    if unit not in (1, -1):
+        raise CertificationError(f"denominator lead coefficient {unit} is not a unit")
     quot: dict[Coords, int] = {}
     while rem:
         lead_r = max(rem)
         shift = tuple(a - b for a, b in zip(lead_r, lead_d))
-        c = rem[lead_r]
+        c = rem[lead_r] * unit
         quot[shift] = quot.get(shift, 0) + c
         for expo, dcoef in denom.items():
             key = tuple(a + b for a, b in zip(shift, expo))

@@ -152,63 +152,6 @@ def dispatch(args) -> CommandResult:
     if args.cap is not None and args.cap < 1:
         raise InvalidInputError(f"--cap must be at least 1, got {args.cap}")
     cmd = args.command
-    if cmd == "orbit":
-        rs = _system(args)
-        w = _weight(rs, args.weight, args.basis)
-        orb = orbit(rs, w, cap=_cap(args, DEFAULT_ORBIT_CAP))
-        payload = {"system": str(rs), "dominant": list(orb.dominant_rep),
-                   "size": orb.size}
-        if args.list_elements:
-            payload["elements"] = [list(e) for e in orb.elements]
-        return CommandResult("ok", payload)
-    if cmd == "dominance":
-        rs = _system(args)
-        lam = _weight(rs, args.weight, args.basis)
-        mu = _weight(rs, args.other, args.basis)
-        wit = dominance_compare(rs, lam, mu)
-        payload = {"system": str(rs), "comparable": wit.comparable}
-        if wit.comparable:
-            payload["root_coefficients"] = list(wit.root_coefficients)
-        return CommandResult("ok", payload)
-    if cmd == "reduce":
-        rs = _system(args)
-        lam = _weight(rs, args.weight, args.basis)
-        trace = _reduce_for(rs, lam)
-        return CommandResult("ok", {
-            "system": str(rs), "start": list(trace.start),
-            "result": list(trace.result),
-            "steps": [{"subtract": list(s), "rule": label}
-                      for s, label in trace.steps]})
-    if cmd == "char":
-        rs = _system(args)
-        lam = _weight(rs, args.weight, args.basis)
-        ch = freudenthal_character(rs, lam, cap=_cap(args, DEFAULT_CAP))
-        return CommandResult("ok", {"system": str(rs), "orbit_basis": ch.to_json(),
-                                    "dimension": ch.dimension()})
-    if cmd == "dim":
-        rs = _system(args)
-        lam = _weight(rs, args.weight, args.basis)
-        return CommandResult("ok", {"system": str(rs),
-                                    "dimension": weyl_dimension(rs, lam)})
-    if cmd == "tensor":
-        rs = _system(args)
-        lam = _weight(rs, args.weight, args.basis)
-        mu = _weight(rs, args.other, args.basis)
-        dec = tensor_decompose(rs, lam, mu, cap=_cap(args, DEFAULT_CAP))
-        return CommandResult("ok", {"system": str(rs),
-                                    "irreducibles": dec.to_json(),
-                                    "dimension": dec.dimension()})
-    if cmd in ("lambda", "adams"):
-        rs = _system(args)
-        lam = _weight(rs, args.weight, args.basis)
-        ch = freudenthal_character(rs, lam, cap=_cap(args, DEFAULT_CAP))
-        if cmd == "lambda":
-            out = lambda_power_virtual(args.n, ch, cap=_cap(args, DEFAULT_CAP))
-        else:
-            out = adams(args.n, ch)
-        return CommandResult("ok", {"system": str(rs), "n": args.n,
-                                    "orbit_basis": out.to_json(),
-                                    "dimension": out.dimension()})
     if cmd == "support":
         case = _case(args)
         rs = case.root_system()
@@ -216,8 +159,7 @@ def dispatch(args) -> CommandResult:
                      "dynkin" if rs.kind.family == "E6" else args.basis)
         expr = support_of_orbit(case, mu)
         return CommandResult("ok", {"case": case.label(), "support": expr.label(),
-                                    "dim": expr.dim,
-                                    "up_to_translation": expr.translate_marker})
+                                    "dim": expr.dim, "up_to_translation": True})
     if cmd == "classify":
         report = classify_summands(_case(args))
         return CommandResult("ok", report.to_json())
@@ -236,7 +178,45 @@ def dispatch(args) -> CommandResult:
         if result.ok:
             return CommandResult("ok", payload)
         return CommandResult("error", payload, exit_code=1)
-    raise InvalidInputError(f"unknown command {cmd!r}")
+    # every other command reads --system and --weight
+    if cmd not in ("orbit", "dominance", "reduce", "char", "dim", "tensor", "lambda", "adams"):
+        raise InvalidInputError(f"unknown command {cmd!r}")
+    rs = _system(args)
+    lam = _weight(rs, args.weight, args.basis)
+    # --format text prints the keys in this insertion order
+    payload = {"system": str(rs)}
+    if cmd == "orbit":
+        orb = orbit(rs, lam, cap=_cap(args, DEFAULT_ORBIT_CAP))
+        payload.update(dominant=list(orb.dominant_rep), size=orb.size)
+        if args.list_elements:
+            payload["elements"] = [list(e) for e in orb.elements]
+    elif cmd == "dominance":
+        wit = dominance_compare(rs, lam, _weight(rs, args.other, args.basis))
+        payload["comparable"] = wit.comparable
+        if wit.comparable:
+            payload["root_coefficients"] = list(wit.root_coefficients)
+    elif cmd == "reduce":
+        trace = _reduce_for(rs, lam)
+        payload.update(start=list(trace.start), result=list(trace.result),
+                       steps=[{"subtract": list(s), "rule": label}
+                              for s, label in trace.steps])
+    elif cmd == "char":
+        ch = freudenthal_character(rs, lam, cap=_cap(args, DEFAULT_CAP))
+        payload.update(orbit_basis=ch.to_json(), dimension=ch.dimension())
+    elif cmd == "dim":
+        payload["dimension"] = weyl_dimension(rs, lam)
+    elif cmd == "tensor":
+        dec = tensor_decompose(rs, lam, _weight(rs, args.other, args.basis),
+                               cap=_cap(args, DEFAULT_CAP))
+        payload.update(irreducibles=dec.to_json(), dimension=dec.dimension())
+    else:  # lambda, adams
+        ch = freudenthal_character(rs, lam, cap=_cap(args, DEFAULT_CAP))
+        if cmd == "lambda":
+            out = lambda_power_virtual(args.n, ch, cap=_cap(args, DEFAULT_CAP))
+        else:
+            out = adams(args.n, ch)
+        payload.update(n=args.n, orbit_basis=out.to_json(), dimension=out.dimension())
+    return CommandResult("ok", payload)
 
 
 def parse_and_dispatch(argv) -> tuple[CommandResult, str]:

@@ -208,9 +208,6 @@ class RootSystem:
             for i in range(self.rank)
         )
 
-    def equal_weights(self, w, v) -> bool:
-        return self.normalize(w) == self.normalize(v)
-
     def __str__(self):
         return str(self.kind)
 

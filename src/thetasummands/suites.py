@@ -1,9 +1,11 @@
 """Batch verification suites.
 
 Each suite exhaustively (or, where noted, randomly) checks one of the
-library's core identities within explicit bounds and reports the number of
-cases tested together with any counterexamples found.  The same suites back
-the ``verify`` CLI subcommand and the acceptance tests.
+library's core identities within explicit bounds.  A suite is a generator:
+it yields ``CASE`` before each case it checks and one message string per
+counterexample found.  ``run_suite`` alone counts the cases, collects the
+messages in order and times the run.  The same suites back the ``verify``
+CLI subcommand and the acceptance tests.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import inspect
 import json
 import random
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import product
 
@@ -46,8 +49,7 @@ class SuiteResult:
                 "seconds": round(self.seconds, 3)}
 
 
-def _finish(name, tested, failures, t0) -> SuiteResult:
-    return SuiteResult(name, tested, tuple(failures), time.monotonic() - t0)
+CASE = object()  # yielded by a suite before each case it checks
 
 
 def dominant_weights_c(n: int, max_degree: int):
@@ -77,27 +79,22 @@ def dominant_weights_e6(max_label_sum: int):
 # --- the individual suites ---------------------------------------------------
 
 
-def suite_dims_e6() -> SuiteResult:
+def suite_dims_e6() -> Iterator:
     """Dimensions of the three smallest fundamental E6 representations."""
-    t0 = time.monotonic()
     rs = build_root_system(E6_KIND)
     expected = {(1, 0, 0, 0, 0, 0): 27, (0, 0, 0, 0, 0, 1): 27,
                 (0, 1, 0, 0, 0, 0): 78}
-    failures = []
     for lam, dim in expected.items():
+        yield CASE
         got = weyl_dimension(rs, lam)
         if got != dim:
-            failures.append(f"dim V_{lam} = {got}, expected {dim}")
-    return _finish("dims-e6", len(expected), failures, t0)
+            yield f"dim V_{lam} = {got}, expected {dim}"
 
 
 def suite_multiplicity_dominance(max_degree: int = 6,
-                                 e6_label_sum: int = 1) -> SuiteResult:
+                                 e6_label_sum: int = 1) -> Iterator:
     """m_lam(mu) > 0 iff mu <= lam: the dominant support of an irreducible
     character equals the dominance ideal of its highest weight."""
-    t0 = time.monotonic()
-    failures = []
-    tested = 0
     cases = []
     for rs in (build_root_system(SpC(2)), build_root_system(SpC(3)),
                build_root_system(SlA(2))):
@@ -105,13 +102,12 @@ def suite_multiplicity_dominance(max_degree: int = 6,
     rs6 = build_root_system(E6_KIND)
     cases.extend((rs6, lam) for lam in dominant_weights_e6(e6_label_sum))
     for rs, lam in cases:
-        tested += 1
+        yield CASE
         support = set(freudenthal_character(rs, lam).coeffs)
         ideal = set(dominant_ideal(rs, lam))
         if support != ideal:
-            failures.append(f"{rs.kind} lam={lam}: support {sorted(support)} "
-                            f"!= ideal {sorted(ideal)}")
-    return _finish("multiplicity-dominance", tested, failures, t0)
+            yield (f"{rs.kind} lam={lam}: support {sorted(support)} "
+                   f"!= ideal {sorted(ideal)}")
 
 
 def _dominant_weights(rs, max_degree):
@@ -122,16 +118,13 @@ def _dominant_weights(rs, max_degree):
     raise InvalidInputError("degree enumeration needs a C- or A-kind system")
 
 
-def suite_reduce_hyp(max_n: int = 6, max_degree: int = 12) -> SuiteResult:
+def suite_reduce_hyp(max_n: int = 6, max_degree: int = 12) -> Iterator:
     """The symplectic reduction raises the length to min{d, n} and the
     exhaustive oracle confirms such a weight exists below lam."""
-    t0 = time.monotonic()
-    failures = []
-    tested = 0
     for n in range(1, max_n + 1):
         rs = build_root_system(SpC(n))
         for lam in dominant_weights_c(n, max_degree):
-            tested += 1
+            yield CASE
             d, _ = degree_length(lam)
             target = min(d, n)
             trace = reduce_hyp(n, lam)
@@ -139,28 +132,24 @@ def suite_reduce_hyp(max_n: int = 6, max_degree: int = 12) -> SuiteResult:
             ok = (ell == target and trace.replay() == trace.result
                   and dominance_compare(rs, lam, trace.result).comparable)
             if not ok:
-                failures.append(f"n={n} lam={lam}: bad trace result {trace.result}")
+                yield f"n={n} lam={lam}: bad trace result {trace.result}"
                 continue
             oracle = brute_force_reduce(
                 rs, lam, lambda mu: degree_length(mu)[1] == target)
             if oracle is None:
-                failures.append(f"n={n} lam={lam}: oracle found no witness")
+                yield f"n={n} lam={lam}: oracle found no witness"
             cert = support_dim_hyp(n + 1, lam)
             if cert != target:
-                failures.append(f"n={n} lam={lam}: certified dim {cert} != {target}")
-    return _finish("reduce-hyp", tested, failures, t0)
+                yield f"n={n} lam={lam}: certified dim {cert} != {target}"
 
 
-def suite_reduce_nonhyp(max_n: int = 5, max_degree: int = 10) -> SuiteResult:
+def suite_reduce_nonhyp(max_n: int = 5, max_degree: int = 10) -> Iterator:
     """The Sl reduction ends with length min{d, n}, or with length and degree
     both n - 1."""
-    t0 = time.monotonic()
-    failures = []
-    tested = 0
     for n in range(1, max_n + 1):
         rs = build_root_system(SlA(n))
         for lam in dominant_weights_a(n, max_degree):
-            tested += 1
+            yield CASE
             d, _ = degree_length(tuple(abs(c) for c in lam))
             trace = reduce_nonhyp(n, lam)
             mu = trace.result
@@ -168,77 +157,64 @@ def suite_reduce_nonhyp(max_n: int = 5, max_degree: int = 10) -> SuiteResult:
             ok = (ell == min(d, n)) or (ell == dmu == n - 1)
             if not (ok and trace.replay() == trace.result
                     and dominance_compare(rs, lam, mu).comparable):
-                failures.append(f"n={n} lam={lam}: result {mu} (l={ell}, d={dmu})")
+                yield f"n={n} lam={lam}: result {mu} (l={ell}, d={dmu})"
                 continue
             if n >= 2:
                 bound = support_dim_nonhyp_bound(n + 1, lam)
                 if bound != min(d, n - 1):
-                    failures.append(f"n={n} lam={lam}: bound {bound}")
-    return _finish("reduce-nonhyp", tested, failures, t0)
+                    yield f"n={n} lam={lam}: bound {bound}"
 
 
-def suite_reduce_e6(max_label_sum: int = 5) -> SuiteResult:
+def suite_reduce_e6(max_label_sum: int = 5) -> Iterator:
     """Every nonzero dominant E6 weight reduces to w1, w2 or w6 through
     validated dominance steps."""
-    t0 = time.monotonic()
     rs = build_root_system(E6_KIND)
-    failures = []
-    tested = 0
     targets = {(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)}
     for lam in dominant_weights_e6(max_label_sum):
-        tested += 1
+        yield CASE
         trace = reduce_e6(lam)
         if (trace.result not in targets or trace.replay() != trace.result
                 or not dominance_compare(rs, lam, trace.result).comparable):
-            failures.append(f"lam={lam}: result {trace.result}")
-    return _finish("reduce-e6", tested, failures, t0)
+            yield f"lam={lam}: result {trace.result}"
 
 
-def suite_max_length(max_g: int = 7, max_degree: int = 12) -> SuiteResult:
+def suite_max_length(max_g: int = 7, max_degree: int = 12) -> Iterator:
     """max{l(mu) : mu <= lam} = min{d(lam), g - 1} over the dominance ideal."""
-    t0 = time.monotonic()
-    failures = []
-    tested = 0
     for g in range(2, max_g + 1):
         n = g - 1
         rs = build_root_system(SpC(n))
         for lam in dominant_weights_c(n, max_degree):
-            tested += 1
+            yield CASE
             d, _ = degree_length(lam)
             best = max(degree_length(mu)[1] for mu in dominant_ideal(rs, lam))
             if best != min(d, g - 1):
-                failures.append(f"g={g} lam={lam}: max length {best}")
-    return _finish("max-length", tested, failures, t0)
+                yield f"g={g} lam={lam}: max length {best}"
 
 
-def suite_alt_powers(max_n_c: int = 5, max_n_a: int = 3) -> SuiteResult:
+def suite_alt_powers(max_n_c: int = 5, max_n_a: int = 3) -> Iterator:
     """Exterior powers of the standard character decompose as predicted:
     symplectic lambda^d = sum of the fundamental characters w_{d-2i}, and
     special-linear lambda^d = the single fundamental character w_d."""
-    t0 = time.monotonic()
-    failures = []
-    tested = 0
     for n in range(1, max_n_c + 1):
         rs = build_root_system(SpC(n))
         std = freudenthal_character(rs, _pad((1,), n))
         for d in range(1, n + 1):
-            tested += 1
+            yield CASE
             got = lambda_power_effective(d, std)
             want = CharElem(rs)
             for i in range(d // 2 + 1):
                 want = want + freudenthal_character(rs, _pad((1,) * (d - 2 * i), n))
             if got != want:
-                failures.append(f"C n={n} d={d}")
+                yield f"C n={n} d={d}"
     for n in range(1, max_n_a + 1):
         rs = build_root_system(SlA(n))
         std = freudenthal_character(rs, _pad((1,), 2 * n))
         for d in range(1, 2 * n):
-            tested += 1
+            yield CASE
             got = lambda_power_effective(d, std)
             want = freudenthal_character(rs, _pad((1,) * d, 2 * n))
             if got != want:
-                failures.append(f"A n={n} d={d}")
-    return _finish("alt-powers", tested, failures, t0)
+                yield f"A n={n} d={d}"
 
 
 def _random_effective_char(rs, rng, weights) -> CharElem:
@@ -249,7 +225,7 @@ def _random_effective_char(rs, rng, weights) -> CharElem:
 
 
 def suite_lambda_axioms(samples: int = 200, axiom_samples_e6: int = 12,
-                        seed: int = 20260826) -> SuiteResult:
+                        seed: int = 20260826) -> Iterator:
     """Defining lambda-ring identities and Adams-operation laws, plus
     agreement of the Newton-recursion lambda powers with the direct
     elementary-symmetric computation on random effective characters.
@@ -258,9 +234,6 @@ def suite_lambda_axioms(samples: int = 200, axiom_samples_e6: int = 12,
     E6 the convolution/multiplicativity identities, whose products involve
     large orbits, run on the first axiom_samples_e6 samples only, while the
     virtual-vs-effective agreement still runs on all of them."""
-    t0 = time.monotonic()
-    failures = []
-    tested = 0
     rng = random.Random(seed)
     systems = {
         build_root_system(SpC(3)): [(1, 0, 0), (1, 1, 0), (2, 0, 0), (0, 0, 0)],
@@ -274,21 +247,21 @@ def suite_lambda_axioms(samples: int = 200, axiom_samples_e6: int = 12,
         one = unit_char(rs)
         # lambda^n(1) = 0 for n > 1, lambda^0 = 1, lambda^1 = id
         for k in (2, 3):
-            tested += 1
+            yield CASE
             if not lambda_power_effective(k, one).is_zero:
-                failures.append(f"{rs.kind}: lambda^{k}(1) != 0")
+                yield f"{rs.kind}: lambda^{k}(1) != 0"
         for sample in range(samples):
-            tested += 1
+            yield CASE
             a = _random_effective_char(rs, rng, weights)
             b = _random_effective_char(rs, rng, weights)
             n = rng.randint(2, 4)
             if lambda_power_effective(0, a) != one:
-                failures.append(f"{rs.kind}: lambda^0 != 1 at {a.coeffs}")
+                yield f"{rs.kind}: lambda^0 != 1 at {a.coeffs}"
             if lambda_power_effective(1, a) != a:
-                failures.append(f"{rs.kind}: lambda^1 != id at {a.coeffs}")
+                yield f"{rs.kind}: lambda^1 != id at {a.coeffs}"
             # virtual computation agrees with the effective one
             if lambda_power_virtual(n, a) != lambda_power_effective(n, a):
-                failures.append(f"{rs.kind}: virtual lambda^{n} disagrees")
+                yield f"{rs.kind}: virtual lambda^{n} disagrees"
             if is_e6 and sample >= axiom_samples_e6:
                 continue
             # lambda^n(a + b) = sum_i lambda^i(a) lambda^{n-i}(b)
@@ -298,22 +271,18 @@ def suite_lambda_axioms(samples: int = 200, axiom_samples_e6: int = 12,
                 rhs = rhs + multiply(lambda_power_effective(i, a),
                                      lambda_power_effective(n - i, b))
             if lhs != rhs:
-                failures.append(f"{rs.kind}: additivity fails at n={n}")
+                yield f"{rs.kind}: additivity fails at n={n}"
             # Adams laws
             m = rng.randint(2, 3)
             if adams(n, multiply(a, b)) != multiply(adams(n, a), adams(n, b)):
-                failures.append(f"{rs.kind}: Psi^{n} not multiplicative")
+                yield f"{rs.kind}: Psi^{n} not multiplicative"
             if adams(m, adams(n, a)) != adams(m * n, a):
-                failures.append(f"{rs.kind}: Psi^{m} o Psi^{n} != Psi^{m * n}")
-    return _finish("lambda-axioms", tested, failures, t0)
+                yield f"{rs.kind}: Psi^{m} o Psi^{n} != Psi^{m * n}"
 
 
-def suite_adams_factor() -> SuiteResult:
+def suite_adams_factor() -> Iterator:
     """Psi^n lands in the root lattice exactly for n killing the fundamental
     group: n = 2 (symplectic), 2n (special linear), 3 (E6)."""
-    t0 = time.monotonic()
-    failures = []
-    tested = 0
     cases = []
     for n in (2, 3):
         rs = build_root_system(SpC(n))
@@ -324,70 +293,61 @@ def suite_adams_factor() -> SuiteResult:
     rs6 = build_root_system(E6_KIND)
     cases.append((rs6, orbit_char(rs6, (1, 0, 0, 0, 0, 0)), 3))
     for rs, x, exponent in cases:
-        tested += 1
+        yield CASE
         if rs.fundamental_group_exponent != exponent:
-            failures.append(f"{rs.kind}: exponent {rs.fundamental_group_exponent}")
+            yield f"{rs.kind}: exponent {rs.fundamental_group_exponent}"
         if not factors_through_root_lattice(exponent, x):
-            failures.append(f"{rs.kind}: Psi^{exponent} misses the root lattice")
+            yield f"{rs.kind}: Psi^{exponent} misses the root lattice"
         if factors_through_root_lattice(1, x):
-            failures.append(f"{rs.kind}: Psi^1 should not factor")
-    return _finish("adams-factor", tested, failures, t0)
+            yield f"{rs.kind}: Psi^1 should not factor"
 
 
-def suite_classify_golden() -> SuiteResult:
+def suite_classify_golden() -> Iterator:
     """The classifier output matches the independently spelled-out pair sets
     and serializes byte-stably."""
-    t0 = time.monotonic()
-    failures = []
-    tested = 0
 
     def pair_labels(report):
         return [(x.label(), y.label()) for x, y, _ in report.pairs]
 
     for g in range(3, 9):
-        tested += 1
+        yield CASE
         report = classify_summands(CaseSpec(HYPERELLIPTIC, g))
         want = [(f"W_{d}", f"W_{g - 1 - d}") for d in range(1, g - 1)]
         if pair_labels(report) != want:
-            failures.append(f"hyperelliptic g={g}: {pair_labels(report)}")
+            yield f"hyperelliptic g={g}: {pair_labels(report)}"
     for g in range(4, 9):
-        tested += 1
+        yield CASE
         report = classify_summands(CaseSpec(NONHYPERELLIPTIC, g))
         want = ([(f"W_{d}", f"W_{g - 1 - d}") for d in range(1, g - 1)]
                 + [(f"-W_{d}", f"-W_{g - 1 - d}") for d in range(1, g - 1)])
         if pair_labels(report) != want:
-            failures.append(f"nonhyperelliptic g={g}: {pair_labels(report)}")
-    tested += 1
+            yield f"nonhyperelliptic g={g}: {pair_labels(report)}"
+    yield CASE
     report = classify_summands(CaseSpec(CUBIC_THREEFOLD))
     if pair_labels(report) != [("S", "-S"), ("-S", "S")]:
-        failures.append(f"cubic threefold: {pair_labels(report)}")
+        yield f"cubic threefold: {pair_labels(report)}"
     for case in ([CaseSpec(HYPERELLIPTIC, g) for g in range(3, 9)]
                  + [CaseSpec(NONHYPERELLIPTIC, g) for g in range(4, 9)]
                  + [CaseSpec(CUBIC_THREEFOLD)]):
-        tested += 1
+        yield CASE
         first = json.dumps(classify_summands(case).to_json(), sort_keys=True)
         second = json.dumps(classify_summands(case).to_json(), sort_keys=True)
         if first != second:
-            failures.append(f"{case.label()}: serialization is not stable")
-    return _finish("classify-golden", tested, failures, t0)
+            yield f"{case.label()}: serialization is not stable"
 
 
-def suite_oracle_equivalence(max_degree: int = 6) -> SuiteResult:
+def suite_oracle_equivalence(max_degree: int = 6) -> Iterator:
     """Freudenthal multiplicities agree with the Weyl character formula."""
-    t0 = time.monotonic()
-    failures = []
-    tested = 0
     for rs in (build_root_system(SpC(2)), build_root_system(SpC(3)),
                build_root_system(SlA(2))):
         for lam in _dominant_weights(rs, max_degree):
-            tested += 1
+            yield CASE
             a = freudenthal_character(rs, lam)
             b = weyl_character_direct(rs, lam)
             if a != b:
-                failures.append(f"{rs.kind} lam={lam}")
+                yield f"{rs.kind} lam={lam}"
             if a.dimension() != weyl_dimension(rs, lam):
-                failures.append(f"{rs.kind} lam={lam}: dimension mismatch")
-    return _finish("oracle-equivalence", tested, failures, t0)
+                yield f"{rs.kind} lam={lam}: dimension mismatch"
 
 
 SUITES = {
@@ -406,6 +366,8 @@ SUITES = {
 
 
 def run_suite(name: str, **bounds) -> SuiteResult:
+    """Run one suite: count its CASE markers, collect its failure messages
+    in the order they are yielded, and time the whole run."""
     if name not in SUITES:
         raise InvalidInputError(
             f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
@@ -415,4 +377,11 @@ def run_suite(name: str, **bounds) -> SuiteResult:
         raise InvalidInputError(
             f"suite {name!r} has no bound {', '.join(unknown)}; "
             f"valid bounds: {', '.join(valid) or 'none'}")
-    return SUITES[name](**bounds)
+    t0 = time.monotonic()
+    tested, failures = 0, []
+    for item in SUITES[name](**bounds):
+        if item is CASE:
+            tested += 1
+        else:
+            failures.append(item)
+    return SuiteResult(name, tested, tuple(failures), time.monotonic() - t0)

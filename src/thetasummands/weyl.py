@@ -111,27 +111,21 @@ def weyl_group_order(rs: RootSystem) -> int:
 
 
 def signed_orbit(rs: RootSystem, v) -> dict[Coords, int]:
-    """Map w(v) -> sign(w) for a regular weight v (free orbit).
+    """Map w(v) -> sign(w) = det(w) for a regular weight v.
 
-    Used by the Weyl character formula oracle; raises if the orbit is not
-    free (two group elements reaching the same point with opposite parity).
+    v is regular when its dominant projection has no zero Dynkin label; then
+    the orbit is free, so each element u = w(v) comes from exactly one w.
+    The orbit is a closure under simple reflections, and sign(w) is the
+    parity of the reflection counts that dominant_projection returns for u
+    and for v (each reflection has determinant -1).  Used by the Weyl
+    character formula oracle; raises InvalidInputError if v is not regular.
     """
-    v = rs.normalize(v)
-    signs = {v: 1}
-    frontier = [v]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            s = signs[w]
-            for i in range(rs.rank):
-                u = rs.reflect(i, w)
-                if u == w:
-                    raise InvalidInputError(f"{v} is not regular (fixed by s_{i})")
-                if u in signs:
-                    if signs[u] != -s:
-                        raise InvalidInputError(f"{v} is not regular (sign clash)")
-                else:
-                    signs[u] = -s
-                    nxt.append(u)
-        frontier = nxt
-    return signs
+    dom, start = dominant_projection(rs, v)
+    if 0 in rs.dynkin_labels(dom):
+        raise InvalidInputError(
+            f"{v} is not regular: its dominant projection {dom} has a zero Dynkin label")
+    elements = closure([rs.normalize(v)],
+                       lambda w: (rs.reflect(i, w) for i in range(rs.rank)),
+                       DEFAULT_ORBIT_CAP, f"signed orbit of {v} in {rs}")
+    return {u: -1 if (dominant_projection(rs, u)[1] - start) % 2 else 1
+            for u in elements}

@@ -160,6 +160,20 @@ def test_freudenthal_cap_trips_before_recursion(c2):
     assert freudenthal_character(c2, (3, 2), cap=4).dimension() == 40
 
 
+def test_freudenthal_cache_key_leaves_out_the_cap(c2):
+    charring._freudenthal_cached.cache_clear()
+    for cap in (charring.DEFAULT_CAP, 4, 5):
+        assert freudenthal_character(c2, (3, 2), cap=cap).dimension() == 40
+    info = charring._freudenthal_cached.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    # a cap below the number of dominant weights raises before any lookup
+    with pytest.raises(ResourceCapError):
+        freudenthal_character(c2, (3, 2), cap=3)
+    with pytest.raises(ResourceCapError):
+        freudenthal_character(c2, (4, 2), cap=3)
+    assert charring._freudenthal_cached.cache_info() == info
+
+
 def test_freudenthal_sl4(sl4):
     # adjoint of Sl4: dimension 15, zero weight multiplicity 3
     ch = freudenthal_character(sl4, (2, 1, 1, 0))

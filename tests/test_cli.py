@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: parsing, output formats, exit codes."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from thetasummands import cli
+from thetasummands import cli, rootsys
 from thetasummands.cli import main, parse_and_dispatch
 from thetasummands.errors import CertificationError
 
@@ -186,6 +187,53 @@ def test_no_bare_assertion_errors_in_src():
     # internal checks raise CertificationError, which the CLI maps to exit 3
     for path in Path(cli.__file__).parent.glob("*.py"):
         assert "raise AssertionError" not in path.read_text(), path.name
+
+
+def test_one_breadth_first_walk_in_src():
+    # rootsys.closure is the only breadth-first walk of the library
+    hits = {path.name: path.read_text().count("while frontier")
+            for path in Path(cli.__file__).parent.glob("*.py")}
+    assert {name: n for name, n in hits.items() if n} == {"rootsys.py": 1}
+    assert "while frontier" in inspect.getsource(rootsys.closure)
+
+
+# --format text prints the payload keys in insertion order
+TEXT_KEYS = [
+    (["--system", "C2", "orbit", "--weight", "1,0"],
+     ["status", "system", "dominant", "size"]),
+    (["--system", "C2", "orbit", "--weight", "1,0", "--list-elements"],
+     ["status", "system", "dominant", "size", "elements"]),
+    (["--system", "C2", "dominance", "--weight", "3,0", "--other", "2,1"],
+     ["status", "system", "comparable", "root_coefficients"]),
+    (["--system", "C2", "dominance", "--weight", "2,1", "--other", "3,0"],
+     ["status", "system", "comparable"]),
+    (["--system", "C2", "reduce", "--weight", "3,0"],
+     ["status", "system", "start", "result", "steps"]),
+    (["--system", "C2", "char", "--weight", "2,0"],
+     ["status", "system", "orbit_basis", "dimension"]),
+    (["--system", "C2", "dim", "--weight", "1,0"], ["status", "system", "dimension"]),
+    (["--system", "C2", "tensor", "--weight", "1,0", "--other", "1,0"],
+     ["status", "system", "irreducibles", "dimension"]),
+    (["--system", "C2", "lambda", "--n", "2", "--weight", "1,0"],
+     ["status", "system", "n", "orbit_basis", "dimension"]),
+    (["--system", "C2", "adams", "--n", "2", "--weight", "1,0"],
+     ["status", "system", "n", "orbit_basis", "dimension"]),
+    (["support", "--case", "hyperelliptic", "--genus", "3", "--weight", "1,0"],
+     ["status", "case", "support", "dim", "up_to_translation"]),
+    (["classify", "--case", "hyperelliptic", "--genus", "3"],
+     ["status", "case", "pairs", "excluded"]),
+    (["verify", "--suite", "dims-e6"],
+     ["status", "suite", "tested", "failures", "seconds"]),
+    (["--system", "C2", "dim", "--weight", "0,1"], ["status", "message"]),
+]
+
+
+@pytest.mark.parametrize("argv, keys", TEXT_KEYS, ids=[" ".join(a) for a, _ in TEXT_KEYS])
+def test_text_rendering_key_order(argv, keys, capsys):
+    main(["--format", "text"] + argv)
+    captured = capsys.readouterr()
+    lines = (captured.out or captured.err).splitlines()
+    assert [line.split(": ", 1)[0] for line in lines] == keys
 
 
 def test_json_rendering_and_main(capsys):

@@ -14,6 +14,8 @@ from thetasummands.lambdaring import (adams, factors_through_root_lattice,
                                       lambda_power_virtual, newton_transforms,
                                       root_lattice_class)
 from thetasummands.rootsys import E6, SlA, SpC, build_root_system
+from thetasummands.suites import (dominant_weights_a, dominant_weights_c,
+                                  dominant_weights_e6)
 
 
 @pytest.fixture(scope="module")
@@ -164,3 +166,31 @@ def test_factors_through_root_lattice(c2, sl4):
     assert not factors_through_root_lattice(2, std_a)
     rs6 = build_root_system(E6)
     assert factors_through_root_lattice(3, orbit_char(rs6, (1, 0, 0, 0, 0, 0)))
+
+
+def factors_by_expansion(n, x):
+    """Oracle: the class of every weight of Psi^n(x), orbit by orbit."""
+    return all(root_lattice_class(x.system, w) == 0 for w in adams(n, x).expand())
+
+
+ROOT_LATTICE_WEIGHTS = [(SpC(2), list(dominant_weights_c(2, 3))),
+                        (SpC(3), list(dominant_weights_c(3, 2))),
+                        (SlA(2), list(dominant_weights_a(2, 2))),
+                        (SlA(3), list(dominant_weights_a(3, 1))),
+                        (E6, list(dominant_weights_e6(1)))]
+
+
+@pytest.mark.parametrize("kind, weights", ROOT_LATTICE_WEIGHTS,
+                         ids=[str(kind) for kind, _ in ROOT_LATTICE_WEIGHTS])
+def test_root_lattice_membership_matches_the_expansion(kind, weights):
+    rs = build_root_system(kind)
+    chars = [orbit_char(rs, mu) for mu in weights]
+    chars += [freudenthal_character(rs, mu) for mu in weights]
+    # sums of two orbits, which may lie in different classes
+    chars += [a + b for a, b in zip(chars, chars[1:len(weights)])]
+    answers = []
+    for x in chars:
+        for n in range(1, rs.fundamental_group_exponent + 2):
+            answers.append(factors_through_root_lattice(n, x))
+            assert answers[-1] == factors_by_expansion(n, x), (x.coeffs, n)
+    assert set(answers) == {True, False}

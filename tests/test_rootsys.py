@@ -94,7 +94,7 @@ def test_a_normalization():
     # representatives differ by multiples of (1,1,1,1)
     assert rs.normalize((2, 1, 1, 0)) == (1, 0, 0, -1)
     assert rs.normalize((0, 0, 0, 0)) == (0, 0, 0, 0)
-    assert rs.equal_weights((5, 5, 5, 5), (0, 0, 0, 0))
+    assert rs.normalize((5, 5, 5, 5)) == rs.normalize((0, 0, 0, 0))
     assert rs.add((1, 0, 0, -1), (1, 0, 0, -1)) == (2, 0, 0, -2)
 
 

@@ -4,7 +4,7 @@ test_acceptance)."""
 import pytest
 
 from thetasummands.errors import InvalidInputError
-from thetasummands.suites import (SUITES, dominant_weights_a,
+from thetasummands.suites import (CASE, SUITES, dominant_weights_a,
                                   dominant_weights_c, dominant_weights_e6,
                                   run_suite)
 
@@ -49,3 +49,12 @@ def test_suite_result_json():
     assert data["suite"] == "dims-e6"
     assert data["tested"] == 3
     assert data["failures"] == []
+
+
+def test_run_suite_counts_cases_and_collects_failures_in_order(monkeypatch):
+    def stub():
+        yield from (CASE, "a", CASE, CASE, "b")
+    monkeypatch.setitem(SUITES, "stub", stub)
+    r = run_suite("stub")
+    assert (r.name, r.tested, r.failures) == ("stub", 3, ("a", "b"))
+    assert not r.ok and r.seconds >= 0

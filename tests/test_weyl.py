@@ -144,3 +144,44 @@ def test_signed_orbit_rejects_singular():
     rs = build_root_system(SpC(2))
     with pytest.raises(InvalidInputError):
         signed_orbit(rs, (1, 0))  # stabilized by a reflection
+
+
+def signed_orbit_by_sign_propagation(rs, v):
+    """Oracle: breadth-first walk that gives each new element the opposite
+    sign of the element it was reached from, and rejects a clash."""
+    v = rs.normalize(v)
+    signs = {v: 1}
+    frontier = [v]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            s = signs[w]
+            for i in range(rs.rank):
+                u = rs.reflect(i, w)
+                if u == w:
+                    raise InvalidInputError(f"{v} is not regular (fixed by s_{i})")
+                if u in signs:
+                    if signs[u] != -s:
+                        raise InvalidInputError(f"{v} is not regular (sign clash)")
+                else:
+                    signs[u] = -s
+                    nxt.append(u)
+        frontier = nxt
+    return signs
+
+
+SIGNED_ORBIT_WEIGHTS = (
+    [(SpC(n), list(dominant_weights_c(n, 5 - n))) for n in range(1, 5)]
+    + [(SlA(n), list(dominant_weights_a(n, 4 - n))) for n in range(1, 4)])
+
+
+@pytest.mark.parametrize("kind, weights", SIGNED_ORBIT_WEIGHTS,
+                         ids=[str(kind) for kind, _ in SIGNED_ORBIT_WEIGHTS])
+def test_signed_orbit_matches_sign_propagation(kind, weights):
+    rs = build_root_system(kind)
+    rho = rs.weyl_vector_rho
+    for lam in weights:
+        top = rs.add(lam, rho)
+        # a regular weight off the dominant chamber starts with sign 1 too
+        for v in (top, rs.reflect(0, top)):
+            assert signed_orbit(rs, v) == signed_orbit_by_sign_propagation(rs, v), v
