@@ -1,17 +1,18 @@
 """Dominance order and the constructive weight-reduction algorithms.
 
 ``mu <= lam`` in the dominance order iff lam - mu is a nonnegative integer
-combination of simple roots.  The three ``reduce_*`` functions realize the
-constructive proofs that every dominant weight dominates one of small,
-controlled shape; ``brute_force_reduce`` is an independent exhaustive oracle
-over the dominance ideal.  ``dominant_weights_below`` walks the same ideal
-down from lam one positive root at a time; Freudenthal runs on it.
+combination of simple roots, read off the integer coweight table.  The
+``reduce_*`` functions realize the constructive proofs that every dominant
+weight dominates one of small, controlled shape; ``brute_force_reduce`` is an
+exhaustive oracle over the dominance ideal, which ``dominant_weights_below``
+walks down from lam one positive root at a time for Freudenthal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 
 from .errors import BudgetExhaustedError, CertificationError, InvalidInputError
 from .rootsys import (Coords, RootSystem, SlA, SpC, E6 as E6_KIND,
@@ -31,47 +32,21 @@ class DominanceWitness:
 
 
 def dominance_compare(rs: RootSystem, lam, mu) -> DominanceWitness:
-    """Decide mu <= lam for dominant weights, with witness coefficients."""
+    """Decide mu <= lam for dominant weights, with witness coefficients: the
+    coweight table gives e times the simple-root coordinates of lam - mu,
+    and each must be a nonnegative multiple of e, the exponent of P/Q."""
     lam, mu = rs.normalize(lam), rs.normalize(mu)
     if not (is_dominant(rs, lam) and is_dominant(rs, mu)):
         raise InvalidInputError("dominance_compare expects dominant weights")
-    fam = rs.kind.family
-    if fam == "C":
-        n = rs.kind.n
-        diff = [a - b for a, b in zip(lam, mu)]
-        partial = 0
-        coeffs = []
-        for k in range(n - 1):
-            partial += diff[k]
-            if partial < 0:
-                return DominanceWitness(False)
-            coeffs.append(partial)
-        total = partial + diff[n - 1]
-        if total < 0 or total % 2:
+    e = rs.fundamental_group_exponent
+    diff = [a - b for a, b in zip(lam, mu)]
+    coeffs = []
+    for row in rs.coweights:
+        c, r = divmod(sum(map(mul, row, diff)), e)
+        if r or c < 0:
             return DominanceWitness(False)
-        coeffs.append(total // 2)
-        return DominanceWitness(True, tuple(coeffs))
-    if fam == "A":
-        m = 2 * rs.kind.n
-        diff = [a - b for a, b in zip(lam, mu)]
-        total = sum(diff)
-        if total % m:
-            return DominanceWitness(False)
-        t = total // m
-        partial = 0
-        coeffs = []
-        for k in range(m - 1):
-            partial += diff[k]
-            c = partial - (k + 1) * t
-            if c < 0:
-                return DominanceWitness(False)
-            coeffs.append(c)
-        return DominanceWitness(True, tuple(coeffs))
-    # E6: coefficients on the simple roots must be nonnegative integers
-    coeffs = rs.root_basis_coords(rs.sub(lam, mu))
-    if all(c >= 0 and c.denominator == 1 for c in coeffs):
-        return DominanceWitness(True, tuple(int(c) for c in coeffs))
-    return DominanceWitness(False)
+        coeffs.append(c)
+    return DominanceWitness(True, tuple(coeffs))
 
 
 def dominant_weights_below(rs: RootSystem, lam,
@@ -323,7 +298,7 @@ def dominant_hull_candidates(rs: RootSystem, lam):
                 qq_full = _pad(qq, n)
                 yield _pad(pp, n) + tuple(-c for c in reversed(qq_full))
     else:
-        bounds = [int(c) for c in rs.root_basis_coords(lam)]
+        bounds = [c // rs.fundamental_group_exponent for c in rs.scaled_root_coords(lam)]
         for cvec in product(*(range(b + 1) for b in bounds)):
             mu = lam
             for c, alpha in zip(cvec, rs.simple_roots):

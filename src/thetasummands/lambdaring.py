@@ -38,11 +38,13 @@ def lambda_power_effective(n: int, x: CharElem) -> CharElem:
         return unit_char(rs)
     if n == 1:
         return x
-    multiset: list[Coords] = []
-    for w, c in x.expand().items():
-        multiset.extend([w] * c)
-    if n > len(multiset):
+    too_many = f"lambda-power expansion exceeds the cap of {DEFAULT_CAP} additions"
+    dim = x.dimension()
+    if n > dim:
         return CharElem(rs)
+    if dim > DEFAULT_CAP:  # the DP adds at least once per weight of the multiset
+        raise ResourceCapError(too_many)
+    multiset = [w for w, c in x.expand().items() for _ in range(c)]
     # DP for elementary symmetric functions over the group ring
     elem: list[dict[Coords, int]] = [{rs.zero(): 1}] + [{} for _ in range(n)]
     work = 0
@@ -51,8 +53,7 @@ def lambda_power_effective(n: int, x: CharElem) -> CharElem:
             prev = elem[k - 1]
             work += len(prev)
             if work > DEFAULT_CAP:
-                raise ResourceCapError(
-                    f"lambda-power expansion exceeds the cap of {DEFAULT_CAP} additions")
+                raise ResourceCapError(too_many)
             tgt = elem[k]
             for expo, c in prev.items():
                 key = rs.add(expo, w)
@@ -136,19 +137,15 @@ def _adams_to_lambda(rs: RootSystem, psis: list[CharElem], cap: int,
 
 def root_lattice_class(rs: RootSystem, w) -> int:
     """Congruence class of a weight modulo the root lattice, as an element of
-    Z / fundamental_group_exponent."""
-    w = rs.normalize(w)
-    fam = rs.kind.family
-    if fam == "C":
-        return sum(w) % 2
-    if fam == "A":
-        return sum(w) % (2 * rs.kind.n)
-    # E6: three times the first root-basis coordinate detects the Z/3 class
-    c = rs.root_basis_coords(w)[0]
-    val = 3 * c
-    if val.denominator != 1:
-        raise CertificationError("root-basis coordinate has unexpected denominator")
-    return int(val) % 3
+    Z / fundamental_group_exponent: the k with w = k * omega_1 modulo Q (P/Q
+    is cyclic on omega_1), read off the coweight table modulo the exponent."""
+    e = rs.fundamental_group_exponent
+    scaled = rs.scaled_root_coords(rs.normalize(w))
+    gen = rs.scaled_root_coords(rs.fundamental_weights[0])
+    for k in range(e):
+        if all((s - k * g) % e == 0 for s, g in zip(scaled, gen)):
+            return k
+    raise CertificationError(f"{w} lies in no class k * omega_1 modulo the root lattice")
 
 
 def factors_through_root_lattice(n: int, x: CharElem) -> bool:

@@ -15,14 +15,16 @@ Weights are plain tuples of integers in the system's canonical coordinates:
 All arithmetic is exact (ints and fractions.Fraction).  Building a root
 system needs integers only: the positive roots come from root strings over
 the Cartan matrix, rho is certified by an integer identity, and the Cartan
-inverse is found by fraction-free elimination, with one Fraction per entry.
+inverse is found by fraction-free elimination, with one Fraction per entry;
+scaled by |P/Q| it gives the integer coweight table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import CertificationError, InvalidInputError, ResourceCapError
 
@@ -39,6 +41,8 @@ class RootSystemKind:
             raise InvalidInputError(f"unknown family {self.family!r}")
         if self.family in ("C", "A") and self.n < 1:
             raise InvalidInputError(f"{self.family}-family needs n >= 1, got {self.n}")
+        if self.family == "E6" and self.n != 0:
+            raise InvalidInputError(f"E6 takes no n, got {self.n}")
 
     def __str__(self):
         if self.family == "C":
@@ -130,6 +134,8 @@ class RootSystem:
     positive_roots: tuple[Coords, ...]
     weyl_vector_rho: Coords
     fundamental_group_exponent: int
+    # row i: e * omega_i^vee on the canonical coordinates, e the exponent
+    coweights: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
 
     # --- coordinate arithmetic -------------------------------------------
 
@@ -199,8 +205,14 @@ class RootSystem:
                 total += w[i] * sum(self.cartan_inv[i][j] * v[j] for j in range(6))
         return total
 
+    def scaled_root_coords(self, w: Coords) -> Coords:
+        """fundamental_group_exponent times the coefficients of w on the simple
+        roots.  For A-kind the rows sum to 0: any representative will do."""
+        return tuple(sum(map(mul, row, w)) for row in self.coweights)
+
     def root_basis_coords(self, w: Coords) -> tuple[Fraction, ...]:
-        """Coefficients of w on the simple roots (may be rational)."""
+        """Coefficients of w on the simple roots (may be rational), from the
+        Fraction Cartan inverse: the reference for scaled_root_coords."""
         dyn = self.dynkin_labels(w)
         # dyn = C^T c  =>  c = (C^{-1})^T dyn
         return tuple(
@@ -263,9 +275,16 @@ def build_root_system(kind: RootSystemKind) -> RootSystem:
     fundamental = tuple(probe.normalize(_fundamental_weight(kind, d + 1)) for d in range(rank))
     positive = _positive_roots(probe)
     rho = _rho(probe, positive, fundamental)
+    cartan_inv = _invert_exact(cartan)
+    if any(exponent * x.numerator % x.denominator for row in cartan_inv for x in row):
+        raise CertificationError(f"{kind}: {exponent} C^-1 is not integral")
+    cols = [[exponent * x.numerator // x.denominator for x in col] for col in zip(*cartan_inv)]
+    units = [probe.dynkin_labels(tuple(int(j == k) for j in range(coord_len)))
+             for k in range(coord_len)]
+    coweights = tuple(tuple(sum(map(mul, col, dyn)) for dyn in units) for col in cols)
 
-    return RootSystem(kind, rank, coord_len, cartan, _invert_exact(cartan), simple,
-                      fundamental, positive, rho, exponent)
+    return RootSystem(kind, rank, coord_len, cartan, cartan_inv, simple, fundamental,
+                      positive, rho, exponent, coweights)
 
 
 def closure(start, step, cap: int, what: str) -> set:

@@ -1,12 +1,10 @@
 """Weyl group actions: reflections, dominant projection, orbit enumeration,
-and the group order and orbit sizes in closed form."""
+and the group order and orbit sizes from the heights of the positive roots."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 from .errors import CertificationError, InvalidInputError, ResourceCapError
 from .rootsys import Coords, RootSystem, closure
@@ -73,41 +71,36 @@ def _orbit_cached(rs: RootSystem, lam: Coords) -> OrbitSum:
 def orbit_size(rs: RootSystem, lam) -> int:
     """|W| / |W_lam| without walking the orbit.
 
-    The stabilizer of the dominant representative is the parabolic subgroup
-    generated by the simple reflections at its zero Dynkin labels; its
-    positive roots are the positive roots orthogonal to lam, which are those
-    supported on the zero labels.  The order of a Weyl group is the product
-    over its positive roots alpha of (ht alpha + 1) / ht alpha."""
+    |W| is the product over the positive roots alpha of (ht alpha + 1) /
+    ht alpha (Humphreys, Reflection groups and Coxeter groups, 3.20).  The
+    stabilizer of the dominant representative is the parabolic subgroup on
+    its zero Dynkin labels, whose positive roots, with the same heights, are
+    those supported there; the orbit size is the product over the others."""
     lam, _ = dominant_projection(rs, lam)
     zero = {i for i, label in enumerate(rs.dynkin_labels(lam)) if label == 0}
-    stabilizer = Fraction(1)
+    num = den = 1
     for support, height in _positive_root_supports(rs):
-        if support <= zero:
-            stabilizer *= Fraction(height + 1, height)
-    size = weyl_group_order(rs) / stabilizer
-    if size.denominator != 1:
-        raise CertificationError(f"non-integral orbit size {size} for {lam} in {rs}")
-    return int(size)
+        if not support <= zero:
+            num *= height + 1
+            den *= height
+    size, rest = divmod(num, den)
+    if rest:
+        raise CertificationError(f"non-integral orbit size {num}/{den} for {lam} in {rs}")
+    return size
 
 
 @lru_cache(maxsize=None)
 def _positive_root_supports(rs: RootSystem) -> tuple[tuple[frozenset[int], int], ...]:
-    """(simple roots in the support, height) of each positive root."""
-    out = []
-    for alpha in rs.positive_roots:
-        coeffs = rs.root_basis_coords(alpha)
-        out.append((frozenset(i for i, c in enumerate(coeffs) if c), int(sum(coeffs))))
-    return tuple(out)
+    """(simple roots in the support, height) of each positive root, read
+    from the integer coweight table."""
+    scaled = map(rs.scaled_root_coords, rs.positive_roots)
+    return tuple((frozenset(i for i, c in enumerate(s) if c),
+                  sum(s) // rs.fundamental_group_exponent) for s in scaled)
 
 
 def weyl_group_order(rs: RootSystem) -> int:
-    """|W| in closed form: 2^n n! for C_n, (2n)! for A_{2n-1}, 51840 for E6."""
-    fam, n = rs.kind.family, rs.kind.n
-    if fam == "C":
-        return 2**n * factorial(n)
-    if fam == "A":
-        return factorial(2 * n)
-    return 51840
+    """|W|, the size of the orbit of rho, on which W acts freely."""
+    return orbit_size(rs, rs.weyl_vector_rho)
 
 
 def signed_orbit(rs: RootSystem, v) -> dict[Coords, int]:
@@ -115,17 +108,19 @@ def signed_orbit(rs: RootSystem, v) -> dict[Coords, int]:
 
     v is regular when its dominant projection has no zero Dynkin label; then
     the orbit is free, so each element u = w(v) comes from exactly one w.
-    The orbit is a closure under simple reflections, and sign(w) is the
-    parity of the reflection counts that dominant_projection returns for u
-    and for v (each reflection has determinant -1).  Used by the Weyl
-    character formula oracle; raises InvalidInputError if v is not regular.
+    The orbit is a closure over (weight, sign) pairs under simple
+    reflections, each flipping the sign; a weight reached with both signs is
+    a CertificationError.  Used by the Weyl character formula oracle; raises
+    InvalidInputError if v is not regular.
     """
-    dom, start = dominant_projection(rs, v)
+    dom, _ = dominant_projection(rs, v)
     if 0 in rs.dynkin_labels(dom):
         raise InvalidInputError(
             f"{v} is not regular: its dominant projection {dom} has a zero Dynkin label")
-    elements = closure([rs.normalize(v)],
-                       lambda w: (rs.reflect(i, w) for i in range(rs.rank)),
-                       DEFAULT_ORBIT_CAP, f"signed orbit of {v} in {rs}")
-    return {u: -1 if (dominant_projection(rs, u)[1] - start) % 2 else 1
-            for u in elements}
+    pairs = closure([(rs.normalize(v), 1)],
+                    lambda ws: ((rs.reflect(i, ws[0]), -ws[1]) for i in range(rs.rank)),
+                    DEFAULT_ORBIT_CAP, f"signed orbit of {v} in {rs}")
+    signs = dict(pairs)
+    if len(signs) != len(pairs):
+        raise CertificationError(f"signed orbit of {v} in {rs} meets a weight with both signs")
+    return signs

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from thetasummands import cli, rootsys
+from thetasummands import cli, dominance, rootsys
 from thetasummands.cli import main, parse_and_dispatch
 from thetasummands.errors import CertificationError
 
@@ -195,6 +195,14 @@ def test_one_breadth_first_walk_in_src():
             for path in Path(cli.__file__).parent.glob("*.py")}
     assert {name: n for name, n in hits.items() if n} == {"rootsys.py": 1}
     assert "while frontier" in inspect.getsource(rootsys.closure)
+
+
+def test_root_coordinates_have_no_family_branches():
+    # simple-root coordinates, lattice classes and |W| come from the coweight table
+    src = Path(cli.__file__).parent
+    for name in ("weyl.py", "lambdaring.py"):
+        assert ".family" not in (src / name).read_text(), name
+    assert ".family" not in inspect.getsource(dominance.dominance_compare)
 
 
 # --format text prints the payload keys in insertion order

@@ -9,7 +9,7 @@ from thetasummands.dominance import (brute_force_reduce, degree_length,
                                      reduce_hyp, reduce_nonhyp)
 from thetasummands.errors import (BudgetExhaustedError, InvalidInputError,
                                   ResourceCapError)
-from thetasummands.rootsys import E6, SlA, SpC, build_root_system
+from thetasummands.rootsys import E6, SlA, SpC, build_root_system, weight_from_dynkin
 from thetasummands.suites import (dominant_weights_a, dominant_weights_c,
                                   dominant_weights_e6)
 from thetasummands.weyl import dominant_projection
@@ -185,3 +185,60 @@ def test_dominant_weights_below_cap_and_input():
         dominant_weights_below(rs, (3, 2, 1), cap=7)
     with pytest.raises(InvalidInputError):
         dominant_weights_below(rs, (1, 2, 0))
+
+
+def closed_form_root_coefficients(rs, lam, mu):
+    """Oracle for C and A: the simple-root coefficients of lam - mu from
+    partial sums of the coordinate differences, or None when lam - mu is
+    not a nonnegative integer combination of simple roots."""
+    diff = [a - b for a, b in zip(lam, mu)]
+    if rs.kind.family == "C":
+        partial = [sum(diff[:k + 1]) for k in range(rs.rank)]
+        coeffs = partial[:-1] + [partial[-1] // 2]
+        ok = partial[-1] % 2 == 0
+    else:
+        m = len(diff)
+        t, rest = divmod(sum(diff), m)
+        coeffs = [sum(diff[:k + 1]) - (k + 1) * t for k in range(m - 1)]
+        ok = rest == 0
+    return tuple(coeffs) if ok and min(coeffs) >= 0 else None
+
+
+def fraction_root_coefficients(rs, lam, mu):
+    """Oracle for E6: the Fraction root-basis coordinates of lam - mu."""
+    coeffs = rs.root_basis_coords(rs.sub(lam, mu))
+    if all(c >= 0 and c.denominator == 1 for c in coeffs):
+        return tuple(int(c) for c in coeffs)
+    return None
+
+
+def oracle_tops(rs):
+    """Three dominant weights per system, given by Dynkin labels; the test
+    compares every ordered pair in the union of their ideals."""
+    r = rs.rank
+
+    def labels(d):
+        return weight_from_dynkin(rs, [d.get(i, 0) for i in range(r)])
+    return [labels({0: 2, r - 1: 1}) if r > 1 else labels({0: 3}),
+            labels({0: 1, 1: 1, r - 1: 1}) if r > 2 else labels({0: 4}),
+            rs.weyl_vector_rho if r <= 4 else labels({1: 1, r - 2: 2})]
+
+
+DOMINANCE_ORACLE_KINDS = [SpC(n) for n in range(1, 8)] + [SlA(n) for n in range(1, 6)] + [E6]
+
+
+@pytest.mark.parametrize("kind", DOMINANCE_ORACLE_KINDS, ids=str)
+def test_dominance_compare_matches_the_oracles(kind):
+    rs = build_root_system(kind)
+    oracle = fraction_root_coefficients if kind == E6 else closed_form_root_coefficients
+    weights = set()
+    for top in oracle_tops(rs):
+        weights |= dominant_weights_below(rs, top)
+    answers = []
+    for lam in weights:
+        for mu in weights:
+            wit = dominance_compare(rs, lam, mu)
+            answers.append(wit.root_coefficients)
+            assert answers[-1] == oracle(rs, lam, mu), (lam, mu)
+            assert wit.comparable == (answers[-1] is not None)
+    assert None in answers and len(set(answers)) > 2

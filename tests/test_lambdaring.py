@@ -1,5 +1,6 @@
 """Lambda and Adams operations, Newton transforms, root-lattice classes."""
 
+import random
 from math import comb
 
 import pytest
@@ -194,3 +195,40 @@ def test_root_lattice_membership_matches_the_expansion(kind, weights):
             answers.append(factors_through_root_lattice(n, x))
             assert answers[-1] == factors_by_expansion(n, x), (x.coeffs, n)
     assert set(answers) == {True, False}
+
+
+def closed_form_root_lattice_class(rs, w):
+    """Oracle: the coordinate sum modulo 2 (C) or 2n (A), and for E6 three
+    times the first Fraction root-basis coordinate modulo 3."""
+    w = rs.normalize(w)
+    if rs.kind.family == "C":
+        return sum(w) % 2
+    if rs.kind.family == "A":
+        return sum(w) % (2 * rs.kind.n)
+    third = 3 * rs.root_basis_coords(w)[0]
+    assert third.denominator == 1
+    return int(third) % 3
+
+
+@pytest.mark.parametrize("kind", [SpC(n) for n in range(1, 10)]
+                         + [SlA(n) for n in range(1, 8)] + [E6], ids=str)
+def test_root_lattice_class_matches_the_closed_forms(kind):
+    rs = build_root_system(kind)
+    rng = random.Random(str(kind))
+    classes = set()
+    for _ in range(300):
+        w = tuple(rng.randint(-6, 6) for _ in range(rs.coord_len))
+        classes.add(root_lattice_class(rs, w))
+        assert root_lattice_class(rs, w) == closed_form_root_lattice_class(rs, w), w
+    assert classes == set(range(rs.fundamental_group_exponent))
+
+
+def test_effective_lambda_power_cap_trips_before_the_expansion(c2, monkeypatch):
+    def no_expand(self):
+        pytest.fail("the weight multiset was expanded past the cap")
+    x = CharElem(c2, {(1, 0): 300})  # dimension 1200
+    monkeypatch.setattr(lambdaring, "DEFAULT_CAP", 1000)
+    monkeypatch.setattr(CharElem, "expand", no_expand)
+    with pytest.raises(ResourceCapError, match="cap of 1000 additions"):
+        lambda_power_effective(2, x)
+    assert lambda_power_effective(1201, x).is_zero

@@ -1,8 +1,9 @@
 """Root system construction, coordinates, and exact linear algebra."""
 
+import dataclasses
 import random
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 import pytest
 
@@ -12,7 +13,6 @@ from thetasummands.errors import (CertificationError, InvalidInputError,
 from thetasummands.rootsys import (E6, SlA, SpC, build_root_system, closure,
                                    convert_coordinates, parse_kind,
                                    weight_from_dynkin)
-from thetasummands.weyl import weyl_group_order
 
 ORACLE_KINDS = [SpC(n) for n in range(1, 10)] + [SlA(n) for n in range(1, 8)] + [E6]
 
@@ -51,6 +51,12 @@ def integral_weight(rs, vec):
     shifted = [c - shift for c in vec]
     assert all(c.denominator == 1 for c in shifted)
     return rs.normalize(int(c) for c in shifted)
+
+
+def test_e6_kind_takes_no_n():
+    with pytest.raises(InvalidInputError, match="E6"):
+        rootsys.RootSystemKind("E6", 1)
+    assert rootsys.RootSystemKind("E6", 0) == E6
 
 
 def test_parse_kind():
@@ -225,10 +231,11 @@ def test_root_strings_match_the_reflection_oracle(kind):
     # |Phi+| = rank h / 2 and the highest root has height h - 1, where h is
     # the Coxeter number; |W| is the product of (ht a + 1) / ht a
     h = 12 if kind == E6 else 2 * kind.n
+    order = {"C": 2**kind.n * factorial(kind.n), "A": factorial(2 * kind.n), "E6": 51840}
     heights = [sum(rs.root_basis_coords(r)) for r in positive]
     assert 2 * len(positive) == rs.rank * h
     assert max(heights) == h - 1
-    assert prod(Fraction(t + 1, t) for t in heights) == weyl_group_order(rs)
+    assert prod(Fraction(t + 1, t) for t in heights) == order[kind.family]
 
 
 def test_cartan_inverse_matches_gauss_jordan_on_random_matrices():
@@ -265,3 +272,38 @@ def test_rho_certifies_the_positive_roots(kind):
                       [rs.scale(-1, r) if i == 0 else r for i, r in enumerate(positive)]):
         with pytest.raises(CertificationError, match="rho"):
             rootsys._rho(rs, corrupted, rs.fundamental_weights)
+
+
+def coweight_mismatches(rs, rng):
+    """Test vectors w where the table disagrees with e * root_basis_coords(w):
+    the simple roots, the fundamental weights, the positive roots and 50
+    random vectors."""
+    e = rs.fundamental_group_exponent
+    vectors = list(rs.simple_roots + rs.fundamental_weights + rs.positive_roots)
+    vectors += [tuple(rng.randint(-5, 5) for _ in range(rs.coord_len)) for _ in range(50)]
+    return [w for w in vectors
+            if rs.scaled_root_coords(w) != tuple(e * c for c in rs.root_basis_coords(w))]
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS, ids=str)
+def test_coweight_table_matches_the_fraction_inverse(kind):
+    rs = build_root_system(kind)
+    rng = random.Random(str(kind))
+    assert coweight_mismatches(rs, rng) == []
+    # shifting an A-kind weight by the determinant changes nothing
+    if kind.family == "A":
+        w = tuple(rng.randint(-5, 5) for _ in range(rs.coord_len))
+        assert rs.scaled_root_coords([c + 7 for c in w]) == rs.scaled_root_coords(w)
+    # a table with one entry off by one fails the same check
+    rows = [list(row) for row in rs.coweights]
+    i, k = rng.randrange(rs.rank), rng.randrange(rs.coord_len)
+    rows[i][k] += 1
+    broken = dataclasses.replace(rs, coweights=tuple(map(tuple, rows)))
+    assert coweight_mismatches(broken, rng) != []
+
+
+def test_coweight_table_stays_out_of_eq_and_hash():
+    rs = build_root_system(E6)
+    other = dataclasses.replace(rs, coweights=())
+    assert other == rs and hash(other) == hash(rs)
+    assert [f.name for f in dataclasses.fields(rs) if not f.compare] == ["coweights"]

@@ -5,7 +5,8 @@ from math import factorial
 import pytest
 
 from thetasummands import weyl
-from thetasummands.errors import InvalidInputError, ResourceCapError
+from thetasummands.errors import (CertificationError, InvalidInputError,
+                                  ResourceCapError)
 from thetasummands.rootsys import E6, SlA, SpC, build_root_system
 from thetasummands.suites import (dominant_weights_a, dominant_weights_c,
                                   dominant_weights_e6)
@@ -93,6 +94,15 @@ def test_weyl_group_orders():
     assert weyl_group_order(build_root_system(SlA(3))) == factorial(6)
 
 
+@pytest.mark.parametrize("kind", [SpC(n) for n in range(1, 10)]
+                         + [SlA(n) for n in range(1, 8)] + [E6], ids=str)
+def test_weyl_group_order_matches_the_closed_forms(kind):
+    # 2^n n! for C_n, (2n)! for A_{2n-1}, 51840 for E6
+    closed_form = {"C": 2**kind.n * factorial(kind.n), "A": factorial(2 * kind.n),
+                   "E6": 51840}[kind.family]
+    assert weyl_group_order(build_root_system(kind)) == closed_form
+
+
 @pytest.mark.parametrize("kind", [SpC(n) for n in range(1, 6)]
                          + [SlA(n) for n in range(1, 4)] + [E6],
                          ids=str)
@@ -144,6 +154,14 @@ def test_signed_orbit_rejects_singular():
     rs = build_root_system(SpC(2))
     with pytest.raises(InvalidInputError):
         signed_orbit(rs, (1, 0))  # stabilized by a reflection
+
+
+def test_signed_orbit_rejects_a_weight_met_with_both_signs(monkeypatch):
+    # with the regularity check fooled, the walk itself meets the clash
+    rs = build_root_system(SpC(2))
+    monkeypatch.setattr(weyl, "dominant_projection", lambda rs, v: (rs.weyl_vector_rho, 0))
+    with pytest.raises(CertificationError, match="both signs"):
+        signed_orbit(rs, (1, 0))
 
 
 def signed_orbit_by_sign_propagation(rs, v):
