@@ -1,8 +1,9 @@
 """Lambda-ring structure on virtual characters.
 
 Adams operations scale every orbit key; lambda-powers of effective characters
-expand the weight multiset and take elementary symmetric functions; on
-virtual characters they are recovered from Adams operations through the
+expand the weight multiset and take elementary symmetric functions, with
+each weight packed into one int of Dynkin-label digits; on virtual
+characters they are recovered from Adams operations through the
 Newton-identity recursion with an exact integrality check.
 """
 
@@ -10,14 +11,16 @@ from __future__ import annotations
 
 from .charring import CharElem, DEFAULT_CAP, _product, multiply, unit_char
 from .errors import CertificationError, InvalidInputError, ResourceCapError
-from .rootsys import Coords, RootSystem
-from .weyl import is_dominant
+from .rootsys import Coords, RootSystem, weight_from_dynkin
 
 
 def adams(n: int, x: CharElem) -> CharElem:
-    """Psi^n: replace every orbit key mu by n*mu (a ring homomorphism)."""
+    """Psi^n: replace every orbit key mu by n*mu (a ring homomorphism).
+    Psi^1 is the identity and returns x itself."""
     if n < 1:
         raise InvalidInputError(f"Adams operations need n >= 1, got {n}")
+    if n == 1:
+        return x
     rs = x.system
     out: dict[Coords, int] = {}
     for mu, c in x.coeffs.items():
@@ -28,7 +31,15 @@ def adams(n: int, x: CharElem) -> CharElem:
 
 def lambda_power_effective(n: int, x: CharElem) -> CharElem:
     """n-th elementary symmetric function of the full weight multiset of an
-    effective character."""
+    effective character, by the DP e_k += e_(k-1) * x^w over its weights.
+
+    Each distinct weight is packed once into one int whose digits are its
+    Dynkin labels, in balanced radix 2*n*b + 1 with b the largest |label|:
+    every label of a sum of n weights lies in [-n*b, n*b], so the packing is
+    injective there and adding exponents is adding ints.  Dominance is read
+    off the digits of elem[n], and only the dominant keys are turned back
+    into coordinates.  Independent of multiply, Adams operations and the
+    Newton recursion, this is the oracle for lambda_power_virtual."""
     if n < 0:
         raise InvalidInputError(f"lambda power index must be >= 0, got {n}")
     if not x.is_effective:
@@ -44,21 +55,37 @@ def lambda_power_effective(n: int, x: CharElem) -> CharElem:
         return CharElem(rs)
     if dim > DEFAULT_CAP:  # the DP adds at least once per weight of the multiset
         raise ResourceCapError(too_many)
-    multiset = [w for w, c in x.expand().items() for _ in range(c)]
+    full = [(rs.dynkin_labels(w), m) for w, m in x.expand().items()]
+    half = n * max(abs(a) for labels, _ in full for a in labels)
+    radix = 2 * half + 1
     # DP for elementary symmetric functions over the group ring
-    elem: list[dict[Coords, int]] = [{rs.zero(): 1}] + [{} for _ in range(n)]
+    elem: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(n)]
     work = 0
-    for w in multiset:
-        for k in range(n, 0, -1):
-            prev = elem[k - 1]
-            work += len(prev)
-            if work > DEFAULT_CAP:
-                raise ResourceCapError(too_many)
-            tgt = elem[k]
-            for expo, c in prev.items():
-                key = rs.add(expo, w)
-                tgt[key] = tgt.get(key, 0) + c
-    coeffs = {w: c for w, c in elem[n].items() if c and is_dominant(rs, w)}
+    for labels, m in full:
+        w = 0
+        for a in reversed(labels):
+            w = w * radix + a
+        for _ in range(m):
+            for k in range(n, 0, -1):
+                prev = elem[k - 1]
+                work += len(prev)
+                if work > DEFAULT_CAP:
+                    raise ResourceCapError(too_many)
+                tgt = elem[k]
+                for expo, c in prev.items():
+                    key = expo + w
+                    tgt[key] = tgt.get(key, 0) + c
+    coeffs = {}
+    for key, c in elem[n].items():
+        labels = []
+        for _ in range(rs.rank):  # lowest digit first, up to a negative label
+            a = (key + half) % radix - half
+            if a < 0:
+                break
+            labels.append(a)
+            key = (key - a) // radix
+        else:
+            coeffs[weight_from_dynkin(rs, labels)] = c
     return CharElem(rs, coeffs)
 
 
@@ -81,6 +108,8 @@ def newton_transforms(direction: str, values: list[CharElem]) -> list[CharElem]:
     lambda_to_adams uses p_k = sum_{i<k} (-1)^(i-1) e_i p_{k-i} + (-1)^(k-1) k e_k;
     adams_to_lambda inverts it, checking exact divisibility by k.
     """
+    if direction not in ("lambda_to_adams", "adams_to_lambda"):
+        raise InvalidInputError(f"unknown direction {direction!r}")
     if not values:
         return []
     rs = values[0].system
@@ -95,9 +124,7 @@ def newton_transforms(direction: str, values: list[CharElem]) -> list[CharElem]:
                 acc = acc + (term if i % 2 else term.scale(-1))
             p.append(acc)
         return p[1:]
-    if direction == "adams_to_lambda":
-        return _adams_to_lambda(rs, values, DEFAULT_CAP, InvalidInputError)[1:]
-    raise InvalidInputError(f"unknown direction {direction!r}")
+    return _adams_to_lambda(rs, values, DEFAULT_CAP, InvalidInputError)[1:]
 
 
 def _adams_to_lambda(rs: RootSystem, psis: list[CharElem], cap: int,

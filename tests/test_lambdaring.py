@@ -1,6 +1,7 @@
 """Lambda and Adams operations, Newton transforms, root-lattice classes."""
 
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -17,6 +18,7 @@ from thetasummands.lambdaring import (adams, factors_through_root_lattice,
 from thetasummands.rootsys import E6, SlA, SpC, build_root_system
 from thetasummands.suites import (dominant_weights_a, dominant_weights_c,
                                   dominant_weights_e6)
+from thetasummands.weyl import is_dominant
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +35,7 @@ def test_adams_scales_weights(c2):
     x = orbit_char(c2, (1, 0)) + unit_char(c2).scale(2)
     psi = adams(3, x)
     assert psi.coeffs == {(3, 0): 1, (0, 0): 2}
-    assert adams(1, x) == x
+    assert adams(1, x) is x
 
 
 def test_lambda_powers_of_standard_sp4(c2):
@@ -97,6 +99,16 @@ def test_newton_transforms_roundtrip(c2):
     assert back == lambdas
     with pytest.raises(InvalidInputError):
         newton_transforms("sideways", lambdas)
+
+
+def test_newton_transforms_checks_the_direction_before_the_empty_list(c2):
+    for direction in ("lambda_to_adams", "adams_to_lambda"):
+        assert newton_transforms(direction, []) == []
+    with pytest.raises(InvalidInputError) as empty:
+        newton_transforms("bogus", [])
+    with pytest.raises(InvalidInputError) as one:
+        newton_transforms("bogus", [orbit_char(c2, (1, 0))])
+    assert str(empty.value) == str(one.value) == "unknown direction 'bogus'"
 
 
 def test_newton_adams_match_direct(c2):
@@ -232,3 +244,82 @@ def test_effective_lambda_power_cap_trips_before_the_expansion(c2, monkeypatch):
     with pytest.raises(ResourceCapError, match="cap of 1000 additions"):
         lambda_power_effective(2, x)
     assert lambda_power_effective(1201, x).is_zero
+
+
+def tuple_dp_oracle(n, x, cap):
+    """Oracle: the elementary-symmetric DP on coordinate tuples, adding
+    exponents with rs.add and filtering dominant keys with is_dominant, for
+    n >= 2.  Returns the result and the additions it counted."""
+    rs = x.system
+    too_many = f"lambda-power expansion exceeds the cap of {cap} additions"
+    dim = x.dimension()
+    if n > dim:
+        return CharElem(rs), 0
+    if dim > cap:
+        raise ResourceCapError(too_many)
+    multiset = [w for w, c in x.expand().items() for _ in range(c)]
+    elem = [{rs.zero(): 1}] + [{} for _ in range(n)]
+    work = 0
+    for w in multiset:
+        for k in range(n, 0, -1):
+            prev = elem[k - 1]
+            work += len(prev)
+            if work > cap:
+                raise ResourceCapError(too_many)
+            tgt = elem[k]
+            for expo, c in prev.items():
+                key = rs.add(expo, w)
+                tgt[key] = tgt.get(key, 0) + c
+    coeffs = {w: c for w, c in elem[n].items() if c and is_dominant(rs, w)}
+    return CharElem(rs, coeffs), work
+
+
+LAMBDA_DP_WEIGHTS = [
+    (SpC(2), [(0, 0), (1, 0), (1, 1), (2, 0)]),
+    (SpC(3), [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 0, 0)]),
+    (SlA(2), [(0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 0, -1)]),
+    (SlA(3), [(0,) * 6, (1, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0)]),
+    (E6, [(0,) * 6, (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)]),
+]
+
+
+def lambda_dp_draws(rs, weights):
+    """Single orbits and pairs of orbits with coefficients 1-3 and n = 2..4,
+    leaving out draws with more than 5000 n-subsets."""
+    rng = random.Random(str(rs.kind))
+    draws = [({mu: c}, n) for mu in weights for c in (1, 2, 3) for n in (2, 3, 4)]
+    draws += [({mu: rng.randint(1, 3), nu: rng.randint(1, 3)}, n)
+              for mu, nu in combinations(weights, 2) for n in (2, 3, 4)]
+    for coeffs, n in draws:
+        x = CharElem(rs, coeffs)
+        if comb(x.dimension(), n) <= 5000:
+            yield x, n
+
+
+@pytest.mark.parametrize("kind, weights", LAMBDA_DP_WEIGHTS,
+                         ids=[str(kind) for kind, _ in LAMBDA_DP_WEIGHTS])
+def test_packed_lambda_dp_matches_the_tuple_dp(kind, weights):
+    rs = build_root_system(kind)
+    draws = list(lambda_dp_draws(rs, weights))
+    assert len(draws) >= 10
+    for x, n in draws:
+        got = lambda_power_effective(n, x)
+        want, _ = tuple_dp_oracle(n, x, lambdaring.DEFAULT_CAP)
+        assert got == want, (x.coeffs, n)
+        assert list(got.coeffs) == list(want.coeffs), (x.coeffs, n)
+
+
+@pytest.mark.parametrize("kind, weights", LAMBDA_DP_WEIGHTS,
+                         ids=[str(kind) for kind, _ in LAMBDA_DP_WEIGHTS])
+def test_packed_lambda_dp_counts_the_work_of_the_tuple_dp(kind, weights, monkeypatch):
+    rs = build_root_system(kind)
+    x, n = max(lambda_dp_draws(rs, weights), key=lambda d: comb(d[0].dimension(), d[1]))
+    want, work = tuple_dp_oracle(n, x, lambdaring.DEFAULT_CAP)
+    monkeypatch.setattr(lambdaring, "DEFAULT_CAP", work)
+    assert lambda_power_effective(n, x) == want
+    monkeypatch.setattr(lambdaring, "DEFAULT_CAP", work - 1)
+    with pytest.raises(ResourceCapError) as oracle_exc:
+        tuple_dp_oracle(n, x, work - 1)
+    with pytest.raises(ResourceCapError) as exc:
+        lambda_power_effective(n, x)
+    assert str(exc.value) == str(oracle_exc.value)
