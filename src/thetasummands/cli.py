@@ -11,18 +11,10 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from .brillnoether import (CaseSpec, CUBIC_THREEFOLD, HYPERELLIPTIC,
-                           NONHYPERELLIPTIC, classify_summands,
-                           support_of_orbit)
-from .charring import (DEFAULT_CAP, freudenthal_character, tensor_decompose,
-                       weyl_dimension)
-from .dominance import dominance_compare, reduce_e6, reduce_hyp, reduce_nonhyp
 from .errors import CertificationError, InvalidInputError, ResourceCapError
-from .lambdaring import adams, lambda_power_virtual
-from .rootsys import (RootSystem, build_root_system, parse_kind,
-                      weight_from_dynkin)
-from .suites import SUITES, run_suite
-from .weyl import DEFAULT_ORBIT_CAP, orbit
+
+# Each layer is imported inside the function that runs it, so that one run
+# loads (and, without cached bytecode, compiles) only its command's layers.
 
 
 @dataclass(frozen=True)
@@ -44,12 +36,14 @@ def _error(message: str, exit_code: int = 1) -> CommandResult:
 
 
 def _system(args) -> RootSystem:
+    from .rootsys import build_root_system, parse_kind
     if not args.system:
         raise InvalidInputError("this command needs --system (e.g. C3, SL6, A5, E6)")
     return build_root_system(parse_kind(args.system))
 
 
 def _weight(rs: RootSystem, text: str, basis: str):
+    from .rootsys import weight_from_dynkin
     try:
         coords = tuple(int(c) for c in text.split(","))
     except ValueError as exc:
@@ -62,12 +56,14 @@ def _weight(rs: RootSystem, text: str, basis: str):
 
 
 def _case(args) -> CaseSpec:
+    from .brillnoether import (CUBIC_THREEFOLD, HYPERELLIPTIC,
+                               NONHYPERELLIPTIC, CaseSpec)
     kind = args.case
     if kind == CUBIC_THREEFOLD:
         return CaseSpec(kind)
-    if args.genus is None:
+    if args.genus is None and kind in (HYPERELLIPTIC, NONHYPERELLIPTIC):
         raise InvalidInputError(f"case {kind!r} needs --genus")
-    return CaseSpec(kind, args.genus)
+    return CaseSpec(kind, args.genus)  # CaseSpec rejects an unknown kind
 
 
 def _cap(args, default: int) -> int:
@@ -75,16 +71,31 @@ def _cap(args, default: int) -> int:
 
 
 def _reduce_for(rs: RootSystem, lam):
+    from . import dominance
     fam = rs.kind.family
     if fam == "C":
-        return reduce_hyp(rs.kind.n, lam)
+        return dominance.reduce_hyp(rs.kind.n, lam)
     if fam == "A":
-        return reduce_nonhyp(rs.kind.n, lam)
-    return reduce_e6(lam)
+        return dominance.reduce_nonhyp(rs.kind.n, lam)
+    return dominance.reduce_e6(lam)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports an argument error as InvalidInputError instead of printing the
+    usage and exiting; its subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise InvalidInputError(message)
+
+
+_CASE_HELP = "hyperelliptic, nonhyperelliptic or cubic-threefold"
+_SUITE_HELP = ("adams-factor, alt-powers, classify-golden, dims-e6, lambda-axioms, "
+               "max-length, multiplicity-dominance, oracle-equivalence, reduce-e6, "
+               "reduce-hyp, reduce-nonhyp")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thetasummands",
         description="Exact Weyl-orbit, character-ring and theta-summand "
                     "computations for the symplectic, special linear and E6 "
@@ -130,18 +141,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", required=True)
 
     p = sub.add_parser("support", help="symbolic support of an orbit cycle")
-    p.add_argument("--case", required=True,
-                   choices=(HYPERELLIPTIC, NONHYPERELLIPTIC, CUBIC_THREEFOLD))
+    p.add_argument("--case", required=True, help=_CASE_HELP)
     p.add_argument("--genus", type=int)
     p.add_argument("--weight", required=True)
 
     p = sub.add_parser("classify", help="theta-divisor summand classification")
-    p.add_argument("--case", required=True,
-                   choices=(HYPERELLIPTIC, NONHYPERELLIPTIC, CUBIC_THREEFOLD))
+    p.add_argument("--case", required=True, help=_CASE_HELP)
     p.add_argument("--genus", type=int)
 
     p = sub.add_parser("verify", help="run a batch verification suite")
-    p.add_argument("--suite", required=True, choices=sorted(SUITES))
+    p.add_argument("--suite", required=True, help=_SUITE_HELP)
     p.add_argument("--bounds", default="",
                    help="comma-separated key=int overrides, e.g. max_degree=8")
 
@@ -153,17 +162,20 @@ def dispatch(args) -> CommandResult:
         raise InvalidInputError(f"--cap must be at least 1, got {args.cap}")
     cmd = args.command
     if cmd == "support":
+        from . import brillnoether
         case = _case(args)
         rs = case.root_system()
         mu = _weight(rs, args.weight,
                      "dynkin" if rs.kind.family == "E6" else args.basis)
-        expr = support_of_orbit(case, mu)
+        expr = brillnoether.support_of_orbit(case, mu)
         return CommandResult("ok", {"case": case.label(), "support": expr.label(),
                                     "dim": expr.dim, "up_to_translation": True})
     if cmd == "classify":
-        report = classify_summands(_case(args))
+        from . import brillnoether
+        report = brillnoether.classify_summands(_case(args))
         return CommandResult("ok", report.to_json())
     if cmd == "verify":
+        from . import suites
         bounds = {}
         if args.bounds:
             for item in args.bounds.split(","):
@@ -173,7 +185,7 @@ def dispatch(args) -> CommandResult:
                 except ValueError as exc:
                     raise InvalidInputError(
                         f"bounds entry {item!r} is not key=integer") from exc
-        result = run_suite(args.suite, **bounds)
+        result = suites.run_suite(args.suite, **bounds)
         payload = result.to_json()
         if result.ok:
             return CommandResult("ok", payload)
@@ -186,12 +198,14 @@ def dispatch(args) -> CommandResult:
     # --format text prints the keys in this insertion order
     payload = {"system": str(rs)}
     if cmd == "orbit":
-        orb = orbit(rs, lam, cap=_cap(args, DEFAULT_ORBIT_CAP))
+        from . import weyl
+        orb = weyl.orbit(rs, lam, cap=_cap(args, weyl.DEFAULT_ORBIT_CAP))
         payload.update(dominant=list(orb.dominant_rep), size=orb.size)
         if args.list_elements:
             payload["elements"] = [list(e) for e in orb.elements]
     elif cmd == "dominance":
-        wit = dominance_compare(rs, lam, _weight(rs, args.other, args.basis))
+        from . import dominance
+        wit = dominance.dominance_compare(rs, lam, _weight(rs, args.other, args.basis))
         payload["comparable"] = wit.comparable
         if wit.comparable:
             payload["root_coefficients"] = list(wit.root_coefficients)
@@ -201,34 +215,36 @@ def dispatch(args) -> CommandResult:
                        steps=[{"subtract": list(s), "rule": label}
                               for s, label in trace.steps])
     elif cmd == "char":
-        ch = freudenthal_character(rs, lam, cap=_cap(args, DEFAULT_CAP))
+        from . import charring
+        ch = charring.freudenthal_character(rs, lam, cap=_cap(args, charring.DEFAULT_CAP))
         payload.update(orbit_basis=ch.to_json(), dimension=ch.dimension())
     elif cmd == "dim":
-        payload["dimension"] = weyl_dimension(rs, lam)
+        from . import charring
+        payload["dimension"] = charring.weyl_dimension(rs, lam)
     elif cmd == "tensor":
-        dec = tensor_decompose(rs, lam, _weight(rs, args.other, args.basis),
-                               cap=_cap(args, DEFAULT_CAP))
+        from . import charring
+        dec = charring.tensor_decompose(rs, lam, _weight(rs, args.other, args.basis),
+                                        cap=_cap(args, charring.DEFAULT_CAP))
         payload.update(irreducibles=dec.to_json(), dimension=dec.dimension())
     else:  # lambda, adams
-        ch = freudenthal_character(rs, lam, cap=_cap(args, DEFAULT_CAP))
+        from . import charring, lambdaring
+        cap = _cap(args, charring.DEFAULT_CAP)
+        ch = charring.freudenthal_character(rs, lam, cap=cap)
         if cmd == "lambda":
-            out = lambda_power_virtual(args.n, ch, cap=_cap(args, DEFAULT_CAP))
+            out = lambdaring.lambda_power_virtual(args.n, ch, cap=cap)
         else:
-            out = adams(args.n, ch)
+            out = lambdaring.adams(args.n, ch)
         payload.update(n=args.n, orbit_basis=out.to_json(), dimension=out.dimension())
     return CommandResult("ok", payload)
 
 
 def parse_and_dispatch(argv) -> tuple[CommandResult, str]:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = 0 if exc.code in (0, None) else 1
-        result = CommandResult("ok" if code == 0 else "error",
-                               {"message": "argument parsing failed"} if code else {},
-                               exit_code=code)
-        return result, "json"
+        args = build_parser().parse_args(argv)
+    except SystemExit:  # --help has printed the usage; errors raise instead
+        return CommandResult("ok"), "json"
+    except InvalidInputError as exc:
+        return _error(str(exc)), "json"
     try:
         return dispatch(args), args.format
     except ResourceCapError as exc:

@@ -92,7 +92,7 @@ def lambda_power_effective(n: int, x: CharElem) -> CharElem:
 def lambda_power_virtual(n: int, x: CharElem, cap: int = DEFAULT_CAP) -> CharElem:
     """n-th lambda power: the Adams-to-lambda transform of Psi^1(x)..Psi^n(x).
 
-    cap bounds the whole recursion: each of its O(n^2) products is charged
+    cap bounds the whole recursion: each of its (n-1)n/2 products is charged
     its dominant projections plus one.  The Adams operations of one element
     always satisfy the Newton identities, so a non-integral coefficient is a
     CertificationError here."""
@@ -133,18 +133,20 @@ def _adams_to_lambda(rs: RootSystem, psis: list[CharElem], cap: int,
 
         k * lambda^k = sum_{i=1..k} (-1)^(i-1) lambda^(k-i) * Psi^i,
 
-    raising error where a coefficient is not divisible by k.  Each product
-    costs its dominant projections plus one, so that products with a zero
-    factor count too; ResourceCapError is raised before the product that
-    would take the total past cap."""
-    p = [unit_char(rs)] + list(psis)
-    e: list[CharElem] = [unit_char(rs)]
+    raising error where a coefficient is not divisible by k.  The i = k term
+    lambda^0 * Psi^k is Psi^k itself, so lambda^1 = Psi^1, and only the
+    (n-1)n/2 terms with 0 < i < k are products.  Each product costs its
+    dominant projections plus one, so that products with a zero factor count
+    too; ResourceCapError is raised before the product that would take the
+    total past cap."""
+    e: list[CharElem] = [unit_char(rs), *psis[:1]]
     products = projections = 0
-    for k in range(1, len(p)):
+    for k in range(2, len(psis) + 1):
         acc = CharElem(rs)
-        for i in range(1, k + 1):
+        for i in range(1, k):
             try:
-                term, work = _product(e[k - i], p[i], cap - products - projections - 1)
+                term, work = _product(e[k - i], psis[i - 1],
+                                      cap - products - projections - 1)
             except ResourceCapError as exc:
                 raise ResourceCapError(
                     f"Newton recursion exceeds the cap of {cap} after {products} "
@@ -152,6 +154,8 @@ def _adams_to_lambda(rs: RootSystem, psis: list[CharElem], cap: int,
             products += 1
             projections += work
             acc = acc + (term if i % 2 else term.scale(-1))
+        psi = psis[k - 1]
+        acc = acc + (psi if k % 2 else psi.scale(-1))
         coeffs = {}
         for mu, c in acc.coeffs.items():
             if c % k:

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from thetasummands import cli, dominance, rootsys
+from thetasummands import charring, cli, dominance, rootsys
+from thetasummands.brillnoether import CUBIC_THREEFOLD, HYPERELLIPTIC, NONHYPERELLIPTIC
 from thetasummands.cli import main, parse_and_dispatch
 from thetasummands.errors import CertificationError
+from thetasummands.suites import SUITES
 
 
 def run(argv):
@@ -165,10 +167,46 @@ def test_cap_of_one_is_passed_on():
     assert "cap of 1" in json.loads(proc.stderr)["message"]
 
 
+ARGUMENT_ERRORS = [
+    (["--system", "C2", "orbit"], "the following arguments are required: --weight"),
+    (["--system", "C2", "lambda", "--n", "two", "--weight", "1,0"],
+     "argument --n: invalid int value: 'two'"),
+    (["--system", "C2", "frobenius"], "argument command: invalid choice: 'frobenius'"),
+    (["verify", "--suite", "nope"], "unknown suite 'nope'; available: adams-factor, "),
+    (["classify", "--case", "elliptic"], "unknown case kind 'elliptic'"),
+    (["support", "--case", "elliptic", "--genus", "3", "--weight", "1,0"],
+     "unknown case kind 'elliptic'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", ARGUMENT_ERRORS,
+                         ids=[" ".join(a) for a, _ in ARGUMENT_ERRORS])
+def test_argument_errors_write_one_json_object(argv, message):
+    # argparse's own reason, not its usage text followed by a generic message
+    proc = run_subprocess(argv)
+    assert proc.returncode == 1 and proc.stdout == ""
+    data = json.loads(proc.stderr)
+    assert data["status"] == "error"
+    assert data["message"].startswith(message)
+
+
+def test_help_exits_0():
+    proc = run_subprocess(["verify", "--help"])
+    assert proc.returncode == 0
+    assert "--suite" in proc.stdout and proc.stderr == ""
+
+
+def test_help_names_every_case_and_suite():
+    # --case and --suite take any string; CaseSpec and run_suite reject it
+    assert cli._SUITE_HELP == ", ".join(sorted(SUITES))
+    for kind in (HYPERELLIPTIC, NONHYPERELLIPTIC, CUBIC_THREEFOLD):
+        assert kind in cli._CASE_HELP
+
+
 def test_certification_failure_exit_3(monkeypatch):
     def broken(rs, lam):
         raise CertificationError("non-integral Weyl dimension")
-    monkeypatch.setattr(cli, "weyl_dimension", broken)
+    monkeypatch.setattr(charring, "weyl_dimension", broken)
     r = run(["--system", "C2", "dim", "--weight", "1,0"])
     assert r.exit_code == 3
     assert r.status == "error"
@@ -178,7 +216,7 @@ def test_certification_failure_exit_3(monkeypatch):
 def test_type_error_in_a_command_propagates(monkeypatch):
     def buggy(rs, lam):
         raise TypeError("a bug, not bad input")
-    monkeypatch.setattr(cli, "weyl_dimension", buggy)
+    monkeypatch.setattr(charring, "weyl_dimension", buggy)
     with pytest.raises(TypeError):
         run(["--system", "C2", "dim", "--weight", "1,0"])
 

@@ -156,6 +156,23 @@ def test_lambda_virtual_cap_bounds_the_whole_recursion(c2):
     assert lambda_power_virtual(5, std, cap=1000).is_zero
 
 
+def test_newton_recursion_charges_only_real_products(c2):
+    # lambda^0 * Psi^k is Psi^k itself and lambda^1 = Psi^1, so lambda^3 takes
+    # the products lambda^1 Psi^1, lambda^2 Psi^1 and lambda^1 Psi^2
+    x = freudenthal_character(c2, (1, 0))
+    psis = [adams(k, x) for k in range(1, 4)]
+    assert newton_transforms("adams_to_lambda", psis)[0] is psis[0]
+    lam2 = lambda_power_effective(2, x)
+    works = [lambdaring._product(a, b, 10**6)[1]
+             for a, b in ((x, psis[0]), (lam2, psis[0]), (x, psis[1]))]
+    total = sum(works) + 3
+    assert lambda_power_virtual(3, x, cap=total) == lambda_power_effective(3, x)
+    with pytest.raises(ResourceCapError, match=(
+            f"cap of {total - 1} after 2 products and {works[0] + works[1]} "
+            f"dominant projections")):
+        lambda_power_virtual(3, x, cap=total - 1)
+
+
 def test_root_lattice_class(c2, sl4):
     assert root_lattice_class(c2, (1, 0)) == 1
     assert root_lattice_class(c2, (1, 1)) == 0
