@@ -8,6 +8,11 @@ formula kept as an independent small-rank oracle.  Freudenthal runs on the
 dominant weights below lam only (the restriction of Moody and Patera, Bull.
 AMS 7, 1982); ``weight_system``, which lists every weight, is kept as a test
 oracle.
+
+Each product looks up |O_nu| once per distinct constituent nu.  The public
+CharElem constructor validates its keys at the API edge; ring operations
+whose keys are dominant by construction build results with the trusted
+CharElem._from_dominant.
 """
 
 from __future__ import annotations
@@ -51,6 +56,17 @@ class CharElem:
             clean[mu] = clean.get(mu, 0) + c
         object.__setattr__(self, "coeffs", {m: c for m, c in clean.items() if c})
 
+    @classmethod
+    def _from_dominant(cls, rs: RootSystem, coeffs: dict[Coords, int]) -> "CharElem":
+        """Trusted constructor for keys that are already normalized, dominant
+        and distinct: drops zero coefficients and interns the keys, in the
+        order given, without validating them."""
+        elem = object.__new__(cls)
+        object.__setattr__(elem, "system", rs)
+        object.__setattr__(elem, "coeffs", {_KEYS.setdefault(mu, mu): c
+                                            for mu, c in coeffs.items() if c})
+        return elem
+
     @property
     def is_effective(self) -> bool:
         return all(c >= 0 for c in self.coeffs.values())
@@ -68,13 +84,14 @@ class CharElem:
         out = dict(self.coeffs)
         for mu, c in other.coeffs.items():
             out[mu] = out.get(mu, 0) + c
-        return CharElem(self.system, out)
+        return CharElem._from_dominant(self.system, out)
 
     def __sub__(self, other: "CharElem") -> "CharElem":
         return self + other.scale(-1)
 
     def scale(self, k: int) -> "CharElem":
-        return CharElem(self.system, {mu: k * c for mu, c in self.coeffs.items()})
+        return CharElem._from_dominant(self.system,
+                                       {mu: k * c for mu, c in self.coeffs.items()})
 
     def __mul__(self, other: "CharElem") -> "CharElem":
         return multiply(self, other)
@@ -127,6 +144,8 @@ def _product(a: CharElem, b: CharElem, cap: int) -> tuple[CharElem, int]:
     a._check_same_system(b)
     rs = a.system
     orbits = {mu: orbit(rs, mu) for mu in a.coeffs.keys() | b.coeffs.keys()}
+    # |O_nu| of each distinct key met, looked up once per product
+    sizes = {mu: orb.size for mu, orb in orbits.items()}
     work = sum(min(orbits[lam].size, orbits[mu].size)
                for lam in a.coeffs for mu in b.coeffs)
     if work > cap:
@@ -141,14 +160,16 @@ def _product(a: CharElem, b: CharElem, cap: int) -> tuple[CharElem, int]:
             hits = Counter(dominant_projection(rs, rs.add(big.dominant_rep, v))[0]
                            for v in small.elements)
             for nu, count in hits.items():
-                size = orbit(rs, nu).size
+                size = sizes.get(nu)
+                if size is None:
+                    size = sizes[nu] = orbit(rs, nu).size
                 c, rem = divmod(big.size * count, size)
                 if rem:
                     raise CertificationError(
                         f"orbit-stabilizer count {big.size} * {count} / {size} "
                         f"at {nu} is not an integer")
                 acc[nu] = acc.get(nu, 0) + c1 * c2 * c
-    return CharElem(rs, acc), work
+    return CharElem._from_dominant(rs, acc), work
 
 
 # --- weight systems and Freudenthal multiplicities --------------------------
@@ -216,7 +237,7 @@ def _freudenthal_cached(rs: RootSystem, lam: Coords) -> CharElem:
         if m.denominator != 1 or m <= 0:
             raise CertificationError(f"non-integral multiplicity {m} at {mu}")
         mult[mu] = int(m)
-    return CharElem(rs, mult)
+    return CharElem._from_dominant(rs, mult)
 
 
 def weyl_dimension(rs: RootSystem, lam) -> int:

@@ -239,10 +239,10 @@ def dispatch(args) -> CommandResult:
 
 
 def parse_and_dispatch(argv) -> tuple[CommandResult, str]:
+    """The result of one command line and its output format.  --help prints
+    the usage and raises argparse's SystemExit(0), so no result follows it."""
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit:  # --help has printed the usage; errors raise instead
-        return CommandResult("ok"), "json"
     except InvalidInputError as exc:
         return _error(str(exc)), "json"
     try:

@@ -26,7 +26,7 @@ def adams(n: int, x: CharElem) -> CharElem:
     for mu, c in x.coeffs.items():
         key = rs.scale(n, mu)
         out[key] = out.get(key, 0) + c
-    return CharElem(rs, out)
+    return CharElem._from_dominant(rs, out)
 
 
 def lambda_power_effective(n: int, x: CharElem) -> CharElem:
@@ -86,7 +86,7 @@ def lambda_power_effective(n: int, x: CharElem) -> CharElem:
             key = (key - a) // radix
         else:
             coeffs[weight_from_dynkin(rs, labels)] = c
-    return CharElem(rs, coeffs)
+    return CharElem._from_dominant(rs, coeffs)
 
 
 def lambda_power_virtual(n: int, x: CharElem, cap: int = DEFAULT_CAP) -> CharElem:
@@ -162,7 +162,7 @@ def _adams_to_lambda(rs: RootSystem, psis: list[CharElem], cap: int,
                 raise error(f"Newton recursion gives a non-integral lambda^{k} "
                             f"coefficient at {mu}")
             coeffs[mu] = c // k
-        e.append(CharElem(rs, coeffs))
+        e.append(CharElem._from_dominant(rs, coeffs))
     return e
 
 

@@ -1,9 +1,12 @@
 """Character ring: orbit basis, Freudenthal multiplicities, Weyl formulas."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import thetasummands
 from thetasummands import charring, weyl
 from thetasummands.charring import (CharElem, char_from_json,
                                     decompose_into_irreducibles,
@@ -29,12 +32,19 @@ def sl4():
     return build_root_system(SlA(2))
 
 
-def test_char_elem_normalizes(c2):
+def test_char_elem_normalizes(c2, sl4):
+    # ring operations build results with a trusted constructor; the public
+    # one still drops zeros, checks dominance, normalizes and merges
     x = CharElem(c2, {(1, 0): 2, (0, 0): 0})
     assert x.coeffs == {(1, 0): 2}
     assert x.dimension() == 8
-    with pytest.raises(InvalidInputError):
-        CharElem(c2, {(0, 1): 1})
+    with pytest.raises(InvalidInputError, match="not dominant"):
+        CharElem(c2, {(1, 1): 1, (0, 1): 1})
+    # A-kind keys are shifted so that max(coords[n:]) = 0
+    y = CharElem(sl4, {(2, 1, 1, 0): 1, (1, 1, 0, 0): 5, (1, 0, 0, -1): 2})
+    assert list(y.coeffs.items()) == [((1, 0, 0, -1), 3), ((1, 1, 0, 0), 5)]
+    assert CharElem(sl4, {(2, 1, 1, 0): 1, (1, 0, 0, -1): -1}).is_zero
+    assert "_from_dominant" not in thetasummands.__all__
 
 
 def test_char_arithmetic(c2):
@@ -138,6 +148,28 @@ def test_multiply_certifies_the_orbit_stabilizer_count(c2, monkeypatch):
     x = orbit_char(c2, (1, 0))
     with pytest.raises(CertificationError):
         multiply(x, x)
+
+
+def test_multiply_looks_up_each_orbit_size_once(monkeypatch):
+    rs = build_root_system(SpC(3))
+    a = CharElem(rs, {(1, 0, 0): 2, (1, 1, 0): 1, (0, 0, 0): 3})
+    b = CharElem(rs, {(2, 0, 0): 1, (1, 0, 0): 3})
+    # the term pairs share constituents, so one lookup per hit repeats sizes
+    per_pair = sum(len(multiply(orbit_char(rs, lam), orbit_char(rs, mu)).coeffs)
+                   for lam in a.coeffs for mu in b.coeffs)
+    lookups = Counter()
+
+    def counted(rs, mu, cap=weyl.DEFAULT_ORBIT_CAP):
+        lookups[mu] += 1
+        return weyl.orbit(rs, mu, cap)
+    monkeypatch.setattr(charring, "orbit", counted)
+    product = multiply(a, b)
+    # effective factors: every nu met is a key of the product
+    met = a.coeffs.keys() | b.coeffs.keys() | product.coeffs.keys()
+    assert lookups == Counter(met)
+    assert len(met) < per_pair
+    monkeypatch.undo()
+    assert product == convolve(a, b)
 
 
 def test_weight_system_c2(c2):

@@ -196,6 +196,15 @@ def test_help_exits_0():
     assert "--suite" in proc.stdout and proc.stderr == ""
 
 
+@pytest.mark.parametrize("argv", [["--system", "C2", "--help"], ["lambda", "--help"]],
+                         ids=["top-level", "command"])
+def test_help_prints_only_the_usage(argv):
+    proc = run_subprocess(argv)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("usage:")
+    assert '"status"' not in proc.stdout
+
+
 def test_help_names_every_case_and_suite():
     # --case and --suite take any string; CaseSpec and run_suite reject it
     assert cli._SUITE_HELP == ", ".join(sorted(SUITES))

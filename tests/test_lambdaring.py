@@ -340,3 +340,33 @@ def test_packed_lambda_dp_counts_the_work_of_the_tuple_dp(kind, weights, monkeyp
     with pytest.raises(ResourceCapError) as exc:
         lambda_power_effective(n, x)
     assert str(exc.value) == str(oracle_exc.value)
+
+
+def ring_results(draws):
+    """Every result the ring operations give on the draws, each product
+    with the next draw."""
+    out = []
+    for (x, n), (y, _) in zip(draws, draws[1:] + draws[:1]):
+        psis = [adams(k, x) for k in range(1, n + 1)]
+        lambdas = newton_transforms("adams_to_lambda", psis)
+        out += [multiply(x, y), lambda_power_virtual(n, x), lambda_power_effective(n, x),
+                *psis[1:], *lambdas, *newton_transforms("lambda_to_adams", lambdas)]
+    return out
+
+
+@pytest.mark.parametrize("kind, weights", [LAMBDA_DP_WEIGHTS[i] for i in (1, 2, 4)],
+                         ids=[str(LAMBDA_DP_WEIGHTS[i][0]) for i in (1, 2, 4)])
+def test_trusted_results_equal_validated_results(kind, weights, monkeypatch):
+    # ring operations skip the validation of keys that are dominant by
+    # construction; routing them through the public constructor changes
+    # neither a result nor its key order
+    rs = build_root_system(kind)
+    draws = list(lambda_dp_draws(rs, weights))
+    trusted = ring_results(draws)
+    monkeypatch.setattr(CharElem, "_from_dominant",
+                        classmethod(lambda cls, rs, coeffs: cls(rs, coeffs)))
+    validated = ring_results(draws)
+    assert len(trusted) == len(validated)
+    for got, want in zip(trusted, validated):
+        assert got == want == CharElem(rs, dict(got.coeffs))
+        assert list(got.coeffs) == list(want.coeffs)
