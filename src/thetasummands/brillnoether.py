@@ -3,12 +3,12 @@ cycles, support-dimension bounds, and the theta-divisor summand classifier."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .dominance import (degree_length, dominance_compare, reduce_hyp,
                         reduce_nonhyp)
 from .errors import CertificationError, InvalidInputError
-from .rootsys import Coords, RootSystem, SlA, SpC, E6 as E6_KIND, build_root_system
+from .rootsys import RootSystem, SlA, SpC, E6 as E6_KIND, build_root_system
 from .weyl import is_dominant
 
 HYPERELLIPTIC = "hyperelliptic"
@@ -16,17 +16,20 @@ NONHYPERELLIPTIC = "nonhyperelliptic"
 CUBIC_THREEFOLD = "cubic-threefold"
 
 
-@dataclass(frozen=True)
-class CaseSpec:
-    kind: str
-    genus: int = 0  # curve cases only
+class CaseSpec(namedtuple("CaseSpec", "kind genus")):
+    """genus: curve cases only."""
 
-    def __post_init__(self):
-        if self.kind in (HYPERELLIPTIC, NONHYPERELLIPTIC):
-            if self.genus < 2:
+    __slots__ = ()
+
+    def __new__(cls, kind: str, genus: int = 0):
+        if kind in (HYPERELLIPTIC, NONHYPERELLIPTIC):
+            if genus < 2:
                 raise InvalidInputError("curve cases need genus >= 2")
-        elif self.kind != CUBIC_THREEFOLD:
-            raise InvalidInputError(f"unknown case kind {self.kind!r}")
+        elif kind != CUBIC_THREEFOLD:
+            raise InvalidInputError(f"unknown case kind {kind!r}")
+        elif genus != 0:
+            raise InvalidInputError(f"the cubic threefold takes no genus, got {genus}")
+        return super().__new__(cls, kind, genus)
 
     @property
     def n(self) -> int:
@@ -51,16 +54,18 @@ class CaseSpec:
         return f"{self.kind}:g={self.genus}"
 
 
-@dataclass(frozen=True)
-class SupportExpr:
-    """Symbolic subvariety of the (intermediate) Jacobian."""
+class SupportExpr(namedtuple("SupportExpr", "variant d_plus d_minus sign weight dim",
+                             defaults=(0, 0, 0, (), None))):
+    """Symbolic subvariety of the (intermediate) Jacobian.
 
-    variant: str  # point | w | diff | fano | theta | general | unknown
-    d_plus: int = 0          # w: the index d; diff: a in W_a - W_b
-    d_minus: int = 0         # diff: b
-    sign: int = 0            # fano: +1 or -1
-    weight: Coords = ()      # general: the defining dominant weight
-    dim: int | None = None
+    variant: point | w | diff | fano | theta | general | unknown
+    d_plus:  w: the index d; diff: a in W_a - W_b
+    d_minus: diff: b
+    sign:    fano: +1 or -1
+    weight:  general: the defining dominant weight
+    """
+
+    __slots__ = ()
 
     def label(self) -> str:
         if self.variant == "point":
@@ -183,11 +188,10 @@ def support_dim_nonhyp_bound(g: int, lam) -> int:
     return bound
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    case: CaseSpec
-    pairs: tuple[tuple[SupportExpr, SupportExpr, str], ...]
-    excluded: tuple[tuple[tuple[int, int], str], ...]
+class ClassificationReport(namedtuple("ClassificationReport", "case pairs excluded")):
+    """pairs: (x, y, provenance) with Theta = x + y; excluded: (dims, reason)."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

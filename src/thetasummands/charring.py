@@ -18,13 +18,12 @@ CharElem._from_dominant.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from .dominance import dominance_compare, dominant_weights_below
 from .errors import CertificationError, InvalidInputError, ResourceCapError
-from .rootsys import Coords, RootSystem, closure, weight_from_dynkin
+from .rootsys import Coords, Frozen, RootSystem, closure, weight_from_dynkin
 from .weyl import dominant_projection, is_dominant, orbit, signed_orbit, weyl_group_order
 
 DEFAULT_CAP = 10**8  # dominant projections of a product; dominant weights of a character
@@ -37,23 +36,23 @@ WEYL_FORMULA_GROUP_CAP = 10**4  # |W| above which the direct formula refuses
 _KEYS: dict[Coords, Coords] = {}
 
 
-@dataclass(frozen=True, slots=True)
-class CharElem:
+class CharElem(Frozen):
     """Element of Z[X]^W in the orbit basis: sum of coeffs[mu] * We_mu."""
 
-    system: RootSystem
-    coeffs: dict[Coords, int] = field(default_factory=dict)
+    __slots__ = ("system", "coeffs")
+    __hash__ = None  # coeffs is a dict
 
-    def __post_init__(self):
+    def __init__(self, system: RootSystem, coeffs: dict[Coords, int] | None = None):
         clean = {}
-        for mu, c in self.coeffs.items():
+        for mu, c in (coeffs or {}).items():
             if c == 0:
                 continue
-            mu = self.system.normalize(mu)
-            if not is_dominant(self.system, mu):
+            mu = system.normalize(mu)
+            if not is_dominant(system, mu):
                 raise InvalidInputError(f"orbit-basis key {mu} is not dominant")
             mu = _KEYS.setdefault(mu, mu)
             clean[mu] = clean.get(mu, 0) + c
+        object.__setattr__(self, "system", system)
         object.__setattr__(self, "coeffs", {m: c for m, c in clean.items() if c})
 
     @classmethod
@@ -111,9 +110,8 @@ class CharElem:
         return [{"weight": list(mu), "coeff": c}
                 for mu, c in sorted(self.coeffs.items())]
 
-    def __eq__(self, other):
-        return (isinstance(other, CharElem) and self.system == other.system
-                and self.coeffs == other.coeffs)
+    def _key(self):
+        return self.system, self.coeffs
 
 
 def orbit_char(rs: RootSystem, mu) -> CharElem:
@@ -309,12 +307,15 @@ def _laurent_divide(numer: dict[Coords, int], denom: dict[Coords, int]) -> dict[
 # --- transition to the irreducible basis -----------------------------------
 
 
-@dataclass(frozen=True)
-class IrrDecomposition:
+class IrrDecomposition(Frozen):
     """Coefficients on the irreducible characters ch V_lam."""
 
-    system: RootSystem
-    coeffs: dict[Coords, int]
+    __slots__ = ("system", "coeffs")
+    __hash__ = None  # coeffs is a dict
+
+    def __init__(self, system: RootSystem, coeffs: dict[Coords, int]):
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def to_char(self) -> CharElem:
         out = CharElem(self.system)
@@ -330,9 +331,8 @@ class IrrDecomposition:
         return [{"weight": list(mu), "coeff": c}
                 for mu, c in sorted(self.coeffs.items())]
 
-    def __eq__(self, other):
-        return (isinstance(other, IrrDecomposition) and self.system == other.system
-                and self.coeffs == other.coeffs)
+    def _key(self):
+        return self.system, self.coeffs
 
 
 def decompose_into_irreducibles(x: CharElem, cap: int = DEFAULT_CAP) -> IrrDecomposition:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import CertificationError, InvalidInputError, ResourceCapError
 
@@ -17,11 +17,13 @@ from .errors import CertificationError, InvalidInputError, ResourceCapError
 # loads (and, without cached bytecode, compiles) only its command's layers.
 
 
-@dataclass(frozen=True)
-class CommandResult:
-    status: str  # "ok" or "error"
-    payload: dict = field(default_factory=dict)
-    exit_code: int = 0
+class CommandResult(namedtuple("CommandResult", "status payload exit_code")):
+    """status: "ok" or "error"."""
+
+    __slots__ = ()
+
+    def __new__(cls, status: str, payload: dict | None = None, exit_code: int = 0):
+        return super().__new__(cls, status, {} if payload is None else payload, exit_code)
 
     def render(self, fmt: str) -> str:
         data = {"status": self.status, **self.payload}
@@ -56,14 +58,13 @@ def _weight(rs: RootSystem, text: str, basis: str):
 
 
 def _case(args) -> CaseSpec:
-    from .brillnoether import (CUBIC_THREEFOLD, HYPERELLIPTIC,
-                               NONHYPERELLIPTIC, CaseSpec)
+    from .brillnoether import HYPERELLIPTIC, NONHYPERELLIPTIC, CaseSpec
     kind = args.case
-    if kind == CUBIC_THREEFOLD:
-        return CaseSpec(kind)
-    if args.genus is None and kind in (HYPERELLIPTIC, NONHYPERELLIPTIC):
+    if args.genus is not None:
+        return CaseSpec(kind, args.genus)  # rejects an unknown kind, a cubic genus
+    if kind in (HYPERELLIPTIC, NONHYPERELLIPTIC):
         raise InvalidInputError(f"case {kind!r} needs --genus")
-    return CaseSpec(kind, args.genus)  # CaseSpec rejects an unknown kind
+    return CaseSpec(kind)
 
 
 def _cap(args, default: int) -> int:

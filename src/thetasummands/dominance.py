@@ -10,7 +10,7 @@ walks down from lam one positive root at a time for Freudenthal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 from operator import mul
 
@@ -22,10 +22,11 @@ from .weyl import is_dominant
 DEFAULT_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class DominanceWitness:
-    comparable: bool
-    root_coefficients: tuple[int, ...] | None = None  # on simple roots, if comparable
+class DominanceWitness(namedtuple("DominanceWitness", "comparable root_coefficients",
+                                  defaults=(None,))):
+    """root_coefficients: of lam - mu on the simple roots, if comparable."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.comparable
@@ -75,12 +76,10 @@ def dominant_weights_below(rs: RootSystem, lam,
 # --- reduction traces ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
-    system: RootSystem
-    start: Coords
-    steps: tuple[tuple[Coords, str], ...]  # (subtracted element, rule label)
-    result: Coords
+class ReductionTrace(namedtuple("ReductionTrace", "system start steps result")):
+    """steps: (subtracted element, rule label) pairs from start to result."""
+
+    __slots__ = ()
 
     def replay(self) -> Coords:
         cur = self.start

@@ -21,7 +21,6 @@ scaled by |P/Q| it gives the integer coweight table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -31,18 +30,53 @@ from .errors import CertificationError, InvalidInputError, ResourceCapError
 Coords = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RootSystemKind:
-    family: str  # "C", "A" or "E6"
-    n: int  # C: rank; A: half the vector size (rank 2n-1); E6: unused (0)
+class Frozen:
+    """Base of the immutable value types with slots.  A subclass lists its
+    fields in __slots__, sets them once in __init__ with object.__setattr__,
+    and compares and hashes by _key() (or sets __hash__ = None); copy and
+    pickle call the constructor again with the fields in slot order."""
 
-    def __post_init__(self):
-        if self.family not in ("C", "A", "E6"):
-            raise InvalidInputError(f"unknown family {self.family!r}")
-        if self.family in ("C", "A") and self.n < 1:
-            raise InvalidInputError(f"{self.family}-family needs n >= 1, got {self.n}")
-        if self.family == "E6" and self.n != 0:
-            raise InvalidInputError(f"E6 takes no n, got {self.n}")
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class RootSystemKind(Frozen):
+    # family: "C", "A" or "E6"
+    # n: C: rank; A: half the vector size (rank 2n-1); E6: unused (0)
+    __slots__ = ("family", "n")
+
+    def __init__(self, family: str, n: int):
+        if family not in ("C", "A", "E6"):
+            raise InvalidInputError(f"unknown family {family!r}")
+        if family in ("C", "A") and n < 1:
+            raise InvalidInputError(f"{family}-family needs n >= 1, got {n}")
+        if family == "E6" and n != 0:
+            raise InvalidInputError(f"E6 takes no n, got {n}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "n", n)
+
+    def _key(self):
+        return self.family, self.n
 
     def __str__(self):
         if self.family == "C":
@@ -122,20 +156,30 @@ def _invert_exact(mat):
     return tuple(tuple(Fraction(a, aug[i][i]) for a in aug[i][r:]) for i in range(r))
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    kind: RootSystemKind
-    rank: int
-    coord_len: int
-    cartan: tuple[tuple[int, ...], ...]
-    cartan_inv: tuple[tuple[Fraction, ...], ...]
-    simple_roots: tuple[Coords, ...]
-    fundamental_weights: tuple[Coords, ...]
-    positive_roots: tuple[Coords, ...]
-    weyl_vector_rho: Coords
-    fundamental_group_exponent: int
-    # row i: e * omega_i^vee on the canonical coordinates, e the exponent
-    coweights: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
+class RootSystem(Frozen):
+    # coweights, row i: e * omega_i^vee on the canonical coordinates, e the
+    # exponent; derived from cartan_inv, so left out of _key
+    __slots__ = ("kind", "rank", "coord_len", "cartan", "cartan_inv", "simple_roots",
+                 "fundamental_weights", "positive_roots", "weyl_vector_rho",
+                 "fundamental_group_exponent", "coweights")
+
+    def __init__(self, kind: RootSystemKind, rank: int, coord_len: int,
+                 cartan: tuple[tuple[int, ...], ...],
+                 cartan_inv: tuple[tuple[Fraction, ...], ...],
+                 simple_roots: tuple[Coords, ...], fundamental_weights: tuple[Coords, ...],
+                 positive_roots: tuple[Coords, ...], weyl_vector_rho: Coords,
+                 fundamental_group_exponent: int,
+                 coweights: tuple[tuple[int, ...], ...] = ()):
+        for name, value in zip(self.__slots__, (
+                kind, rank, coord_len, cartan, cartan_inv, simple_roots,
+                fundamental_weights, positive_roots, weyl_vector_rho,
+                fundamental_group_exponent, coweights)):
+            object.__setattr__(self, name, value)
+
+    def _key(self):
+        return (self.kind, self.rank, self.coord_len, self.cartan, self.cartan_inv,
+                self.simple_roots, self.fundamental_weights, self.positive_roots,
+                self.weyl_vector_rho, self.fundamental_group_exponent)
 
     # --- coordinate arithmetic -------------------------------------------
 

@@ -10,12 +10,11 @@ CLI subcommand and the acceptance tests.
 
 from __future__ import annotations
 
-import inspect
 import json
 import random
 import time
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import product
 
 from .brillnoether import (CaseSpec, CUBIC_THREEFOLD, HYPERELLIPTIC,
@@ -32,12 +31,8 @@ from .lambdaring import (adams, factors_through_root_lattice,
 from .rootsys import SlA, SpC, E6 as E6_KIND, build_root_system
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    tested: int
-    failures: tuple[str, ...]
-    seconds: float
+class SuiteResult(namedtuple("SuiteResult", "name tested failures seconds")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -367,11 +362,13 @@ SUITES = {
 
 def run_suite(name: str, **bounds) -> SuiteResult:
     """Run one suite: count its CASE markers, collect its failure messages
-    in the order they are yielded, and time the whole run."""
+    in the order they are yielded, and time the whole run.  Bounds that
+    leave no case to test are an InvalidInputError, not a pass."""
     if name not in SUITES:
         raise InvalidInputError(
             f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
-    valid = inspect.signature(SUITES[name]).parameters
+    code = SUITES[name].__code__
+    valid = code.co_varnames[:code.co_argcount]
     unknown = sorted(set(bounds) - set(valid))
     if unknown:
         raise InvalidInputError(
@@ -384,4 +381,8 @@ def run_suite(name: str, **bounds) -> SuiteResult:
             tested += 1
         else:
             failures.append(item)
+    if not tested:
+        given = ", ".join(f"{k}={v}" for k, v in bounds.items())
+        raise InvalidInputError(f"suite {name!r} tested no case with "
+                                + (f"bounds {given}" if given else "its default bounds"))
     return SuiteResult(name, tested, tuple(failures), time.monotonic() - t0)

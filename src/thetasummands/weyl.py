@@ -3,7 +3,7 @@ and the group order and orbit sizes from the heights of the positive roots."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import CertificationError, InvalidInputError, ResourceCapError
@@ -32,13 +32,10 @@ def dominant_projection(rs: RootSystem, w) -> tuple[Coords, int]:
             return w, length
 
 
-@dataclass(frozen=True)
-class OrbitSum:
+class OrbitSum(namedtuple("OrbitSum", "system dominant_rep elements")):
     """Full Weyl group orbit of a dominant weight, in sorted order."""
 
-    system: RootSystem
-    dominant_rep: Coords
-    elements: tuple[Coords, ...]
+    __slots__ = ()
 
     @property
     def size(self) -> int:

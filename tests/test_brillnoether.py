@@ -1,12 +1,14 @@
 """Supports of orbit cycles, dimension bounds, and the summand classifier."""
 
+import copy
 import json
+import pickle
 
 import pytest
 
 from thetasummands.brillnoether import (CUBIC_THREEFOLD, CaseSpec,
                                         HYPERELLIPTIC, NONHYPERELLIPTIC,
-                                        classify_summands, split_sl,
+                                        SupportExpr, classify_summands, split_sl,
                                         support_dim_hyp,
                                         support_dim_nonhyp_bound,
                                         support_of_orbit, transpose_partition)
@@ -23,6 +25,34 @@ def test_case_spec_validation():
         CaseSpec("plane-quartic", 3)
     with pytest.raises(InvalidInputError):
         CaseSpec(CUBIC_THREEFOLD).n
+    # a genus would be dropped from the label but kept in equality
+    with pytest.raises(InvalidInputError, match="takes no genus, got 5"):
+        CaseSpec(CUBIC_THREEFOLD, 5)
+    assert CaseSpec(CUBIC_THREEFOLD, 0) == CaseSpec(CUBIC_THREEFOLD)
+
+
+RECORDS = [CaseSpec(HYPERELLIPTIC, 5), CaseSpec(CUBIC_THREEFOLD),
+           SupportExpr("diff", d_plus=1, d_minus=2, dim=3),
+           support_of_orbit(CaseSpec(HYPERELLIPTIC, 4), (2, 1, 0)),
+           classify_summands(CaseSpec(NONHYPERELLIPTIC, 5)),
+           classify_summands(CaseSpec(CUBIC_THREEFOLD))]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_immutable_and_round_trip(record):
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record)):
+        assert twin == record and hash(twin) == hash(record)
+        assert type(twin) is type(record)
+    assert hash(record) == hash(tuple(getattr(record, f) for f in record._fields))
+
+
+def test_record_defaults_and_equality():
+    assert SupportExpr("w") == SupportExpr("w", 0, 0, 0, (), None)
+    assert SupportExpr("w", dim=1) != SupportExpr("w", dim=2)
+    assert CaseSpec(HYPERELLIPTIC, 4) != CaseSpec(NONHYPERELLIPTIC, 4)
+    assert CaseSpec(HYPERELLIPTIC, genus=4).genus == 4
 
 
 def test_split_sl():

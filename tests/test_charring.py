@@ -1,5 +1,7 @@
 """Character ring: orbit basis, Freudenthal multiplicities, Weyl formulas."""
 
+import copy
+import pickle
 from collections import Counter
 
 import pytest
@@ -53,6 +55,27 @@ def test_char_arithmetic(c2):
     assert a.scale(3).dimension() == 12
     assert (a - a).is_zero
     assert not (a - b).is_effective
+
+
+def test_ring_elements_are_immutable_unhashable_and_round_trip(c2):
+    x = freudenthal_character(c2, (2, 1))
+    dec = tensor_decompose(c2, (1, 0), (1, 1))
+    for value in (x, dec):
+        for field in ("system", "coeffs"):
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+        for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value)):
+            assert twin == value and type(twin) is type(value)
+            assert list(twin.coeffs.items()) == list(value.coeffs.items())
+    assert dec != x and x != x.scale(2)
+    assert CharElem(c2) == CharElem(c2, {}) and CharElem(c2).is_zero
+    # no tuple arithmetic or ordering rides along
+    with pytest.raises(TypeError):
+        2 * x
+    with pytest.raises(TypeError):
+        x < x
 
 
 def test_char_json_roundtrip(c2):

@@ -1,8 +1,10 @@
 """End-to-end CLI behavior: parsing, output formats, exit codes."""
 
+import copy
 import inspect
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -115,6 +117,37 @@ def test_verify_bad_bounds_exit_1():
     assert r.exit_code == 1
     assert "nonsense" in r.payload["message"]
     assert "max_n, max_degree" in r.payload["message"]
+
+
+@pytest.mark.parametrize("suite, bounds", [("reduce-hyp", "max_n=0"),
+                                           ("max-length", "max_g=-3,max_degree=-1")])
+def test_verify_that_tests_no_case_exits_1(suite, bounds):
+    r = run(["verify", "--suite", suite, "--bounds", bounds])
+    assert (r.status, r.exit_code) == ("error", 1)
+    assert r.payload["message"] == (f"suite {suite!r} tested no case with bounds "
+                                    + bounds.replace(",", ", "))
+
+
+@pytest.mark.parametrize("cmd", [["classify"], ["support", "--weight", "1,0,0,0,0,0"]])
+def test_cubic_threefold_rejects_a_genus(cmd):
+    r = run([cmd[0], "--case", "cubic-threefold", "--genus", "5", *cmd[1:]])
+    assert (r.status, r.exit_code) == ("error", 1)
+    assert r.payload["message"] == "the cubic threefold takes no genus, got 5"
+    assert run([cmd[0], "--case", "cubic-threefold", "--genus", "0", *cmd[1:]]) == run(
+        [cmd[0], "--case", "cubic-threefold", *cmd[1:]])
+
+
+def test_command_result_is_an_immutable_record():
+    r = cli.CommandResult("ok")
+    assert r.payload == {} and r.payload is not cli.CommandResult("ok").payload
+    assert r == cli.CommandResult("ok", {}, 0) != cli.CommandResult("ok", {}, 1)
+    with pytest.raises(AttributeError):
+        r.status = "error"
+    r = cli.CommandResult("error", {"message": "m"}, exit_code=2)
+    for twin in (pickle.loads(pickle.dumps(r)), copy.copy(r)):
+        assert twin == r and type(twin) is cli.CommandResult
+    with pytest.raises(TypeError):
+        hash(r)  # the payload is a dict
 
 
 def test_resource_cap_exit_2():

@@ -1,5 +1,8 @@
 """Dominance order, constructive reductions, and the exhaustive oracle."""
 
+import copy
+import pickle
+
 import pytest
 
 from thetasummands.charring import weight_system, weyl_dimension
@@ -242,3 +245,18 @@ def test_dominance_compare_matches_the_oracles(kind):
             assert answers[-1] == oracle(rs, lam, mu), (lam, mu)
             assert wit.comparable == (answers[-1] is not None)
     assert None in answers and len(set(answers)) > 2
+
+
+def test_witness_and_trace_are_immutable_records():
+    rs = build_root_system(SpC(2))
+    yes, no = dominance_compare(rs, (3, 0), (2, 1)), dominance_compare(rs, (2, 1), (3, 0))
+    # truth is comparability, not the length of the record
+    assert yes and not no and no.root_coefficients is None
+    trace = reduce_hyp(3, (3, 0, 0))
+    for record in (yes, no, trace):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record)):
+            assert twin == record and hash(twin) == hash(record)
+            assert bool(twin) == bool(record)
+    assert trace.replay() == trace.result

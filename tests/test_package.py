@@ -40,14 +40,21 @@ EXPORTS = {
 }
 
 
+# stdlib modules that dataclasses and inspect load; a value type built on
+# either would cost every command their import
+INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
 def loaded_after(code, *argv):
-    """The thetasummands modules a fresh interpreter holds after running code."""
-    script = (code + "\nimport json, sys\nprint(json.dumps(sorted("
-              "m for m in sys.modules if m.split('.')[0] == 'thetasummands')))")
+    """The thetasummands modules a fresh interpreter holds after running
+    code, and the INTROSPECTION modules it holds."""
+    script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
                           text=True, timeout=60, check=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
-    return json.loads(proc.stdout.splitlines()[-1])
+    modules = json.loads(proc.stdout.splitlines()[-1])
+    return ([m for m in modules if m.split(".")[0] == "thetasummands"],
+            sorted(INTROSPECTION.intersection(modules)))
 
 
 def test_all_lists_the_exports_and_the_submodules():
@@ -78,11 +85,12 @@ def test_unknown_attribute_raises_attribute_error():
 
 
 def test_importing_the_package_loads_no_submodule():
-    assert loaded_after("import thetasummands") == ["thetasummands"]
+    assert loaded_after("import thetasummands") == (["thetasummands"], [])
 
 
 # the layers below each layer, which importing it loads as well
-BELOW = {"weyl": ["rootsys"], "dominance": ["rootsys", "weyl"],
+BELOW = {"errors": [], "rootsys": [], "weyl": ["rootsys"],
+         "dominance": ["rootsys", "weyl"],
          "brillnoether": ["dominance", "rootsys", "weyl"],
          "charring": ["dominance", "rootsys", "weyl"],
          "lambdaring": ["charring", "dominance", "rootsys", "weyl"],
@@ -113,10 +121,17 @@ def test_a_command_loads_only_its_layer(argv, layer):
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(sys.argv[1:]) == 0")
     modules = ["cli", "errors", layer, *BELOW[layer]]
-    assert loaded_after(code, *argv) == sorted(
-        ["thetasummands"] + [f"thetasummands.{m}" for m in modules])
+    assert loaded_after(code, *argv) == (sorted(
+        ["thetasummands"] + [f"thetasummands.{m}" for m in modules]), [])
 
 
 def test_the_cli_alone_loads_only_errors():
-    assert loaded_after("import thetasummands.cli") == [
-        "thetasummands", "thetasummands.cli", "thetasummands.errors"]
+    assert loaded_after("import thetasummands.cli") == (
+        ["thetasummands", "thetasummands.cli", "thetasummands.errors"], [])
+
+
+@pytest.mark.parametrize("layer", sorted(EXPORTS))
+def test_importing_a_layer_loads_no_introspection_module(layer):
+    modules = {"errors", layer, *BELOW[layer]}
+    assert loaded_after(f"import thetasummands.{layer}") == (sorted(
+        ["thetasummands"] + [f"thetasummands.{m}" for m in modules]), [])

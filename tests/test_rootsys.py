@@ -1,6 +1,7 @@
 """Root system construction, coordinates, and exact linear algebra."""
 
-import dataclasses
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import factorial, prod
@@ -10,9 +11,9 @@ import pytest
 from thetasummands import rootsys
 from thetasummands.errors import (CertificationError, InvalidInputError,
                                   ResourceCapError)
-from thetasummands.rootsys import (E6, SlA, SpC, build_root_system, closure,
-                                   convert_coordinates, parse_kind,
-                                   weight_from_dynkin)
+from thetasummands.rootsys import (E6, RootSystem, RootSystemKind, SlA, SpC,
+                                   build_root_system, closure, convert_coordinates,
+                                   parse_kind, weight_from_dynkin)
 
 ORACLE_KINDS = [SpC(n) for n in range(1, 10)] + [SlA(n) for n in range(1, 8)] + [E6]
 
@@ -298,12 +299,53 @@ def test_coweight_table_matches_the_fraction_inverse(kind):
     rows = [list(row) for row in rs.coweights]
     i, k = rng.randrange(rs.rank), rng.randrange(rs.coord_len)
     rows[i][k] += 1
-    broken = dataclasses.replace(rs, coweights=tuple(map(tuple, rows)))
+    broken = rebuilt(rs, coweights=tuple(map(tuple, rows)))
     assert coweight_mismatches(broken, rng) != []
+
+
+def rebuilt(rs, **changes):
+    """A new RootSystem with the fields of rs, some of them replaced."""
+    return RootSystem(**{f: changes.get(f, getattr(rs, f)) for f in RootSystem.__slots__})
+
+
+# the fields that equality and the hash read: all but the coweight table
+COMPARED = ("kind", "rank", "coord_len", "cartan", "cartan_inv", "simple_roots",
+            "fundamental_weights", "positive_roots", "weyl_vector_rho",
+            "fundamental_group_exponent")
 
 
 def test_coweight_table_stays_out_of_eq_and_hash():
     rs = build_root_system(E6)
-    other = dataclasses.replace(rs, coweights=())
+    other = rebuilt(rs, coweights=())
     assert other == rs and hash(other) == hash(rs)
-    assert [f.name for f in dataclasses.fields(rs) if not f.compare] == ["coweights"]
+    assert RootSystem.__slots__ == COMPARED + ("coweights",)
+    for name in COMPARED:
+        assert rebuilt(rs, **{name: None}) != rs, name
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS, ids=str)
+def test_eq_and_hash_are_those_of_the_compared_fields(kind):
+    rs = build_root_system(kind)
+    twin = rebuilt(rs)
+    assert twin is not rs and twin == rs and not twin != rs
+    assert hash(rs) == hash(twin) == hash(tuple(getattr(rs, f) for f in COMPARED))
+    assert hash(kind) == hash((kind.family, kind.n))
+    assert kind == RootSystemKind(kind.family, kind.n) and kind != (kind.family, kind.n)
+    assert rs != build_root_system(SpC(kind.n + 1))
+
+
+@pytest.mark.parametrize("value", [SpC(3), E6, build_root_system(SlA(2))],
+                         ids=["C3-kind", "E6-kind", "A3-system"])
+def test_kinds_and_systems_are_immutable_and_round_trip(value):
+    for field in value.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value)):
+        assert twin == value and hash(twin) == hash(value)
+        assert [getattr(twin, f) for f in value.__slots__] == [
+            getattr(value, f) for f in value.__slots__]
+    assert repr(SpC(3)) == "RootSystemKind(family='C', n=3)"

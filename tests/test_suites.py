@@ -1,10 +1,13 @@
 """The verification suites themselves (small bounds; full bounds run in
 test_acceptance)."""
 
+import copy
+import pickle
+
 import pytest
 
 from thetasummands.errors import InvalidInputError
-from thetasummands.suites import (CASE, SUITES, dominant_weights_a,
+from thetasummands.suites import (CASE, SUITES, SuiteResult, dominant_weights_a,
                                   dominant_weights_c, dominant_weights_e6,
                                   run_suite)
 
@@ -58,3 +61,30 @@ def test_run_suite_counts_cases_and_collects_failures_in_order(monkeypatch):
     r = run_suite("stub")
     assert (r.name, r.tested, r.failures) == ("stub", 3, ("a", "b"))
     assert not r.ok and r.seconds >= 0
+
+
+def test_bound_names_come_from_the_suite_signature():
+    with pytest.raises(InvalidInputError,
+                       match="suite 'dims-e6' has no bound max_n; valid bounds: none"):
+        run_suite("dims-e6", max_n=1)
+    with pytest.raises(InvalidInputError, match="has no bound a, b; valid bounds: "
+                                                "max_n_c, max_n_a"):
+        run_suite("alt-powers", b=1, a=2)
+
+
+def test_a_run_without_cases_is_an_error(monkeypatch):
+    monkeypatch.setitem(SUITES, "stub", lambda: iter(()))
+    with pytest.raises(InvalidInputError,
+                       match="suite 'stub' tested no case with its default bounds"):
+        run_suite("stub")
+    with pytest.raises(InvalidInputError, match="tested no case with bounds max_n=0$"):
+        run_suite("reduce-hyp", max_n=0)
+
+
+def test_suite_result_is_an_immutable_record():
+    r = run_suite("dims-e6")
+    with pytest.raises(AttributeError):
+        r.tested = 0
+    for twin in (pickle.loads(pickle.dumps(r)), copy.copy(r)):
+        assert twin == r and hash(twin) == hash(r) and type(twin) is SuiteResult
+    assert r != SuiteResult(r.name, r.tested, ("x",), r.seconds)

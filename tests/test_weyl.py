@@ -1,5 +1,7 @@
 """Weyl orbits, dominant projection, signed orbits and group orders."""
 
+import copy
+import pickle
 from math import factorial
 
 import pytest
@@ -203,3 +205,14 @@ def test_signed_orbit_matches_sign_propagation(kind, weights):
         # a regular weight off the dominant chamber starts with sign 1 too
         for v in (top, rs.reflect(0, top)):
             assert signed_orbit(rs, v) == signed_orbit_by_sign_propagation(rs, v), v
+
+
+def test_orbit_sum_is_an_immutable_record():
+    rs = build_root_system(SpC(2))
+    orb = orbit(rs, (0, 1))
+    assert orb.dominant_rep == (1, 0) and orb.size == len(orb.elements) == 4
+    with pytest.raises(AttributeError):
+        orb.elements = ()
+    for twin in (pickle.loads(pickle.dumps(orb)), copy.copy(orb)):
+        assert twin == orb and hash(twin) == hash(orb) and twin.size == 4
+    assert orb != orbit(rs, (1, 1))
