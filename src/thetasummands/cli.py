@@ -71,14 +71,15 @@ def _cap(args, default: int) -> int:
     return default if args.cap is None else args.cap
 
 
-def _reduce_for(rs: RootSystem, lam):
+def _reduce_for(rs: RootSystem, lam, args):
     from . import dominance
+    cap = _cap(args, dominance.DEFAULT_BUDGET)
     fam = rs.kind.family
     if fam == "C":
-        return dominance.reduce_hyp(rs.kind.n, lam)
+        return dominance.reduce_hyp(rs.kind.n, lam, cap)
     if fam == "A":
-        return dominance.reduce_nonhyp(rs.kind.n, lam)
-    return dominance.reduce_e6(lam)
+        return dominance.reduce_nonhyp(rs.kind.n, lam, cap)
+    return dominance.reduce_e6(lam, cap)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,9 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--cap", type=int, default=None,
                         help="resource cap, at least 1: elements of an orbit, "
-                             "dominant weights of a character, dominant "
-                             "projections of one product, or for lambda their "
-                             "total over the Newton recursion")
+                             "steps of a reduction, dominant weights of a "
+                             "character, dominant projections of one product, "
+                             "or for lambda their total over the Newton recursion")
     parser.add_argument("--basis", choices=("epsilon", "dynkin"), default="epsilon",
                         help="coordinate basis of input weights (E6: dynkin only)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -211,7 +212,7 @@ def dispatch(args) -> CommandResult:
         if wit.comparable:
             payload["root_coefficients"] = list(wit.root_coefficients)
     elif cmd == "reduce":
-        trace = _reduce_for(rs, lam)
+        trace = _reduce_for(rs, lam, args)
         payload.update(start=list(trace.start), result=list(trace.result),
                        steps=[{"subtract": list(s), "rule": label}
                               for s, label in trace.steps])

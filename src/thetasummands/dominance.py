@@ -3,18 +3,24 @@
 ``mu <= lam`` in the dominance order iff lam - mu is a nonnegative integer
 combination of simple roots, read off the integer coweight table.  The
 ``reduce_*`` functions realize the constructive proofs that every dominant
-weight dominates one of small, controlled shape; ``brute_force_reduce`` is an
-exhaustive oracle over the dominance ideal, which ``dominant_weights_below``
-walks down from lam one positive root at a time for Freudenthal.
+weight dominates one of small, controlled shape, one counted step at a time.
+``brute_force_reduce`` is an exhaustive oracle over the dominance ideal, and
+``dominant_weights_below`` walks that ideal down from lam one positive root
+at a time for Freudenthal.
+
+``dominant_ideal`` lists the same ideal without the closure walk: by partial
+sums for C_n and A_{2n-1}, each element certified by ``dominance_compare``,
+and by a box of simple-root multiples for E6.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import product
+from itertools import accumulate, product
 from operator import mul
 
-from .errors import BudgetExhaustedError, CertificationError, InvalidInputError
+from .errors import (BudgetExhaustedError, CertificationError, InvalidInputError,
+                     ResourceCapError)
 from .rootsys import (Coords, RootSystem, SlA, SpC, E6 as E6_KIND,
                       build_root_system, closure)
 from .weyl import is_dominant
@@ -93,12 +99,19 @@ def degree_length(lam) -> tuple[int, int]:
     return sum(lam), sum(1 for c in lam if c)
 
 
-def reduce_hyp(n: int, lam) -> ReductionTrace:
+def _check_step_cap(steps: list, cap: int, lam: Coords):
+    """Raise ResourceCapError before the reduction of lam takes step cap + 1."""
+    if len(steps) >= cap:
+        raise ResourceCapError(f"the reduction of {lam} exceeds the cap of {cap} steps")
+
+
+def reduce_hyp(n: int, lam, cap: int = DEFAULT_BUDGET) -> ReductionTrace:
     """Raise the length of a symplectic dominant weight to min{d, n}.
 
     At each step i is the last position with an entry >= 2 and k the first
     zero position; subtracting e_i - e_k keeps the weight dominant, keeps the
-    degree and increases the length by one.
+    degree and increases the length by one.  Like the other reductions it
+    raises ResourceCapError before a step past cap.
     """
     rs = build_root_system(SpC(n))
     lam = rs.normalize(lam)
@@ -109,6 +122,7 @@ def reduce_hyp(n: int, lam) -> ReductionTrace:
     cur = lam
     steps = []
     while degree_length(cur)[1] < target:
+        _check_step_cap(steps, cap, lam)
         i = max(j for j in range(n) if cur[j] >= 2)
         k = degree_length(cur)[1]  # first zero position (0-based)
         root = tuple(1 if j == i else -1 if j == k else 0 for j in range(n))
@@ -123,7 +137,7 @@ def _sl_blocks(n: int, lam: Coords) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return lam[:n], tuple(-c for c in reversed(lam[n:]))
 
 
-def reduce_nonhyp(n: int, lam) -> ReductionTrace:
+def reduce_nonhyp(n: int, lam, cap: int = DEFAULT_BUDGET) -> ReductionTrace:
     """Reduce an Sl_{2n} dominant weight to one with length min{d, n} or with
     length = degree = n - 1.
 
@@ -148,6 +162,7 @@ def reduce_nonhyp(n: int, lam) -> ReductionTrace:
         ell = degree_length(p)[1] + degree_length(q)[1]
         if ell == min(d, n):
             break
+        _check_step_cap(steps, cap, lam)
         if ell > min(d, n):
             # length exceeds n: a cross move drops the degree by 2
             # (both blocks are nonzero here)
@@ -196,7 +211,7 @@ E6_TARGETS = (
 )
 
 
-def reduce_e6(lam) -> ReductionTrace:
+def reduce_e6(lam, cap: int = DEFAULT_BUDGET) -> ReductionTrace:
     """Reduce a nonzero dominant E6 weight to w1, w2 or w6.
 
     Every step subtracts the difference of a fixed dominance relation and is
@@ -214,6 +229,7 @@ def reduce_e6(lam) -> ReductionTrace:
 
     def apply(rule: str):
         nonlocal cur
+        _check_step_cap(steps, cap, lam)
         hi, lo = E6_RULES[rule]
         new = [c - a + b for c, a, b in zip(cur, hi, lo)]
         if any(c < 0 for c in new):
@@ -261,41 +277,57 @@ def reduce_e6(lam) -> ReductionTrace:
 # --- exhaustive oracle -----------------------------------------------------
 
 
-def _partitions(max_sum: int, max_len: int, max_part: int):
-    """All weakly decreasing nonnegative tuples (unpadded, no trailing zeros)."""
-    def rec(remaining, length, cap):
-        yield ()
-        if length == 0 or remaining == 0:
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in rec(remaining - first, length - 1, first):
-                yield (first,) + rest
-    yield from rec(max_sum, max_len, max_part)
+def _partial_sum_ideal(lam: Coords, low: int, step: int):
+    """Weakly decreasing integer tuples nu of len(lam) with entries >= low,
+    in descending lexicographic order, with nu_1 + ... + nu_k <= lam_1 + ...
+    + lam_k for every k and |lam| - |nu| a nonnegative multiple of step
+    (step 0: equal totals).  lam is weakly decreasing with lam_m >= low.
 
+    From a prefix summing to s whose last entry is v, with r entries left,
+    the reachable totals are every integer from s + r * low up to
+    min(s + r * v, |lam|): the upper end is the pointwise minimum of two
+    concave partial-sum profiles.  A branch is entered only when that range
+    holds an allowed total, so every branch ends in output.
+    """
+    m = len(lam)
+    caps = tuple(accumulate(lam))
+    total = caps[-1]
 
-def _pad(part, length):
-    return tuple(part) + (0,) * (length - len(part))
+    def extend(prefix, t, prev):
+        i = len(prefix)
+        r = m - i - 1
+        for v in range(min(prev, caps[i] - t), low - 1, -1):
+            s = t + v
+            top = min(s + r * v, total)
+            if not step:
+                if top < total:
+                    break  # top only falls with v
+            elif top - (total - top) % step < s + r * low:
+                continue
+            nu = prefix + (v,)
+            if r:
+                yield from extend(nu, s, v)
+            else:
+                yield nu
+
+    yield from extend((), 0, lam[0])
 
 
 def dominant_hull_candidates(rs: RootSystem, lam):
-    """Dominant weights in a coordinate box guaranteed to contain the
-    dominance ideal of lam (a superset of {mu dominant : mu <= lam})."""
+    """The dominance ideal {mu dominant : mu <= lam}, each element once.
+
+    C: the partitions of at most n parts with partial sums at or below lam's
+    and |lam| - |mu| even.  A: the GL_{2n} representatives with lam's total
+    and partial sums at or below lam's, normalized mod det.  E6: lam minus
+    every box of simple-root multiples within lam's root coordinates that
+    stays dominant."""
     lam = rs.normalize(lam)
     fam = rs.kind.family
     if fam == "C":
-        n = rs.kind.n
-        d = sum(lam)
-        top = lam[0] if lam else 0
-        for part in _partitions(d, n, max(top, 0)):
-            yield _pad(part, n)
+        yield from _partial_sum_ideal(lam, 0, 2)
     elif fam == "A":
-        n = rs.kind.n
-        p, q = _sl_blocks(n, lam)
-        bound = p[0] + q[0]  # entry bound for both blocks of any mu <= lam
-        for pp in _partitions(n * bound, n, bound):
-            for qq in _partitions((n - 1) * bound, n - 1, bound):
-                qq_full = _pad(qq, n)
-                yield _pad(pp, n) + tuple(-c for c in reversed(qq_full))
+        for nu in _partial_sum_ideal(lam, lam[-1], 0):
+            yield rs.normalize(nu)
     else:
         bounds = [c // rs.fundamental_group_exponent for c in rs.scaled_root_coords(lam)]
         for cvec in product(*(range(b + 1) for b in bounds)):
@@ -308,16 +340,21 @@ def dominant_hull_candidates(rs: RootSystem, lam):
 
 
 def dominant_ideal(rs: RootSystem, lam, budget: int = DEFAULT_BUDGET):
-    """All dominant mu with mu <= lam, by box enumeration + dominance filter."""
+    """All dominant mu with mu <= lam, from dominant_hull_candidates.  Every
+    C and A element is certified by dominance_compare (CertificationError if
+    it disagrees); BudgetExhaustedError at the first element past budget."""
     lam = rs.normalize(lam)
-    visited = 0
-    for mu in dominant_hull_candidates(rs, lam):
-        visited += 1
+    if not is_dominant(rs, lam):
+        raise InvalidInputError(f"expected a dominant weight, got {lam}")
+    certify = rs.kind.family != "E6"
+    for visited, mu in enumerate(dominant_hull_candidates(rs, lam), 1):
         if visited > budget:
             raise BudgetExhaustedError(
                 f"dominance-ideal enumeration for {lam} exceeded budget {budget}")
-        if rs.kind.family == "E6" or dominance_compare(rs, lam, mu).comparable:
-            yield mu
+        if certify and not dominance_compare(rs, lam, mu).comparable:
+            raise CertificationError(
+                f"{mu} was enumerated below {lam} but dominance_compare rejects it")
+        yield mu
 
 
 def brute_force_reduce(rs: RootSystem, lam, target_predicate,

@@ -22,9 +22,8 @@ from .brillnoether import (CaseSpec, CUBIC_THREEFOLD, HYPERELLIPTIC,
                            support_dim_hyp, support_dim_nonhyp_bound)
 from .charring import (CharElem, freudenthal_character, multiply, orbit_char,
                        unit_char, weyl_character_direct, weyl_dimension)
-from .dominance import (_partitions, _pad, degree_length, dominance_compare,
-                        brute_force_reduce, dominant_ideal, reduce_e6,
-                        reduce_hyp, reduce_nonhyp)
+from .dominance import (degree_length, dominance_compare, brute_force_reduce,
+                        dominant_ideal, reduce_e6, reduce_hyp, reduce_nonhyp)
 from .errors import InvalidInputError
 from .lambdaring import (adams, factors_through_root_lattice,
                          lambda_power_effective, lambda_power_virtual)
@@ -45,6 +44,22 @@ class SuiteResult(namedtuple("SuiteResult", "name tested failures seconds")):
 
 
 CASE = object()  # yielded by a suite before each case it checks
+
+
+def _partitions(max_sum: int, max_len: int, max_part: int):
+    """All weakly decreasing nonnegative tuples (unpadded, no trailing zeros)."""
+    def rec(remaining, length, cap):
+        yield ()
+        if length == 0 or remaining == 0:
+            return
+        for first in range(min(remaining, cap), 0, -1):
+            for rest in rec(remaining - first, length - 1, first):
+                yield (first,) + rest
+    yield from rec(max_sum, max_len, max_part)
+
+
+def _pad(part, length):
+    return tuple(part) + (0,) * (length - len(part))
 
 
 def dominant_weights_c(n: int, max_degree: int):

@@ -3,9 +3,10 @@ pass/fail line.  Run with ``pytest -s tests/test_acceptance.py`` to see the
 lines as they complete."""
 
 import json
+from functools import cache
 from pathlib import Path
 
-from thetasummands.suites import run_suite
+from thetasummands.suites import SUITES, run_suite
 from thetasummands.brillnoether import (CUBIC_THREEFOLD, CaseSpec,
                                         HYPERELLIPTIC, NONHYPERELLIPTIC,
                                         classify_summands)
@@ -22,8 +23,23 @@ def report(number: int, title: str, ok: bool, detail: str = ""):
     assert ok, line
 
 
+@cache
+def _run_once(name, bounds):
+    return run_suite(name, **dict(bounds))
+
+
+def suite_run(name, **bounds):
+    """run_suite(name, **bounds), run once per session for each set of bounds
+    after filling in the suite's defaults, so that equal runs are shared."""
+    fn = SUITES[name]
+    defaults = fn.__defaults__ or ()
+    names = fn.__code__.co_varnames[:fn.__code__.co_argcount]
+    full = dict(zip(names[len(names) - len(defaults):], defaults), **bounds)
+    return _run_once(name, tuple(sorted(full.items())))
+
+
 def run(number, title, name, **bounds):
-    result = run_suite(name, **bounds)
+    result = suite_run(name, **bounds)
     detail = f"{result.tested} cases, {result.seconds:.1f}s"
     if result.failures:
         detail += "; first failure: " + result.failures[0]
@@ -75,7 +91,7 @@ def test_acceptance_09_adams_factorization():
 
 
 def test_acceptance_10_classification_goldens():
-    result = run_suite("classify-golden")
+    result = suite_run("classify-golden")
     ok = result.ok
     detail = f"{result.tested} cases"
     cases = ([CaseSpec(HYPERELLIPTIC, g) for g in range(3, 9)]
@@ -97,3 +113,20 @@ def test_acceptance_10_classification_goldens():
 def test_acceptance_11_character_oracles():
     run(11, "Freudenthal equals the Weyl character formula (d <= 6)",
         "oracle-equivalence", max_degree=6)
+
+
+# run_suite(name).tested at the default bounds, in SUITES order
+CASE_COUNTS = {
+    "dims-e6": 3, "multiplicity-dominance": 95, "reduce-hyp": 743,
+    "reduce-nonhyp": 2467, "reduce-e6": 461, "max-length": 743,
+    "alt-powers": 24, "lambda-axioms": 606, "adams-factor": 5,
+    "classify-golden": 24, "oracle-equivalence": 89,
+}
+
+
+def test_acceptance_12_case_counts():
+    # the runs at default bounds are shared with the tests above
+    counts = {name: suite_run(name).tested for name in SUITES}
+    report(12, "every suite tests its recorded number of cases",
+           list(counts.items()) == list(CASE_COUNTS.items()),
+           "/".join(str(c) for c in counts.values()))

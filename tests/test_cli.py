@@ -200,6 +200,28 @@ def test_cap_of_one_is_passed_on():
     assert "cap of 1" in json.loads(proc.stderr)["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--system", "E6", "--basis", "dynkin", "--cap", "10", "reduce",
+     "--weight", "0,0,100000,0,0,0"],
+    ["--system", "SL6", "--cap", "10", "reduce",
+     "--weight", "100000,100000,100000,0,-100000,-100000"],
+], ids=["E6", "SL6"])
+def test_reduce_cap_trips_before_the_walk(argv):
+    # uncapped, each takes over 10^5 steps and prints megabytes of JSON
+    proc = run_subprocess(argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert json.loads(proc.stderr)["message"].endswith("exceeds the cap of 10 steps")
+
+
+def test_reduce_cap_counts_steps():
+    # (4,0,0) reaches length 3 in two steps
+    argv = ["--system", "C3", "reduce", "--weight", "4,0,0"]
+    uncapped = run(argv)
+    assert len(uncapped.payload["steps"]) == 2
+    assert run(["--cap", "2", *argv]) == uncapped
+    assert run(["--cap", "1", *argv]).exit_code == 2
+
+
 ARGUMENT_ERRORS = [
     (["--system", "C2", "orbit"], "the following arguments are required: --weight"),
     (["--system", "C2", "lambda", "--n", "two", "--weight", "1,0"],

@@ -5,16 +5,17 @@ import pickle
 
 import pytest
 
+from thetasummands import dominance
 from thetasummands.charring import weight_system, weyl_dimension
-from thetasummands.dominance import (brute_force_reduce, degree_length,
-                                     dominance_compare, dominant_ideal,
-                                     dominant_weights_below, reduce_e6,
-                                     reduce_hyp, reduce_nonhyp)
-from thetasummands.errors import (BudgetExhaustedError, InvalidInputError,
-                                  ResourceCapError)
+from thetasummands.dominance import (DominanceWitness, brute_force_reduce,
+                                     degree_length, dominance_compare,
+                                     dominant_ideal, dominant_weights_below,
+                                     reduce_e6, reduce_hyp, reduce_nonhyp)
+from thetasummands.errors import (BudgetExhaustedError, CertificationError,
+                                  InvalidInputError, ResourceCapError)
 from thetasummands.rootsys import E6, SlA, SpC, build_root_system, weight_from_dynkin
-from thetasummands.suites import (dominant_weights_a, dominant_weights_c,
-                                  dominant_weights_e6)
+from thetasummands.suites import (_pad, _partitions, dominant_weights_a,
+                                  dominant_weights_c, dominant_weights_e6)
 from thetasummands.weyl import dominant_projection
 
 
@@ -127,6 +128,20 @@ def test_reduce_e6_targets():
         reduce_e6((0, 0, 0, 0, 0, 0))
 
 
+@pytest.mark.parametrize("reduce, args", [
+    (reduce_hyp, (3, (4, 0, 0))),
+    (reduce_nonhyp, (3, (2, 2, 2, 0, -2, -2))),
+    (reduce_e6, ((0, 0, 2, 0, 0, 0),)),
+], ids=["hyp", "nonhyp", "e6"])
+def test_reductions_raise_at_the_first_step_past_the_cap(reduce, args):
+    trace = reduce(*args)
+    steps = len(trace.steps)
+    assert steps >= 2
+    assert reduce(*args, cap=steps) == trace
+    with pytest.raises(ResourceCapError, match=f"cap of {steps - 1} steps"):
+        reduce(*args, cap=steps - 1)
+
+
 def test_reduce_e6_fixes_targets():
     for t in ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)):
         assert reduce_e6(t).result == t
@@ -146,6 +161,61 @@ def test_dominant_ideal_contains_endpoints():
     assert lam in ideal
     for mu in ideal:
         assert dominance_compare(rs, lam, mu)
+
+
+def box_ideal(rs, lam):
+    """Oracle: the coordinate box that dominant_ideal enumerated for C and A
+    before it generated partial sums, filtered by dominance_compare.  C: the
+    partitions of at most |lam| with n parts at most lam_1.  A: every pair of
+    blocks with entries at most lam_1 + q_1, where lam = (p | -reversed(q))."""
+    n = rs.kind.n
+    if rs.kind.family == "C":
+        box = (_pad(part, n) for part in _partitions(sum(lam), n, lam[0]))
+    else:
+        bound = lam[0] - lam[-1]
+        box = (_pad(pp, n) + tuple(-c for c in reversed(_pad(qq, n)))
+               for pp in _partitions(n * bound, n, bound)
+               for qq in _partitions((n - 1) * bound, n - 1, bound))
+    return [mu for mu in box if dominance_compare(rs, lam, mu).comparable]
+
+
+IDEAL_ORACLE_CASES = ([(SpC(n), 8) for n in range(1, 5)] + [(SpC(5), 6), (SpC(6), 6)]
+                      + [(SlA(n), 6) for n in range(1, 4)])
+
+
+@pytest.mark.parametrize("kind, max_degree", IDEAL_ORACLE_CASES,
+                         ids=[str(k) for k, _ in IDEAL_ORACLE_CASES])
+def test_dominant_ideal_matches_the_box_oracle(kind, max_degree):
+    rs = build_root_system(kind)
+    weights = (dominant_weights_c(kind.n, max_degree) if kind.family == "C"
+               else dominant_weights_a(kind.n, max_degree))
+    for lam in weights:
+        ideal = list(dominant_ideal(rs, lam))
+        assert len(ideal) == len(set(ideal)), lam
+        assert set(ideal) == set(box_ideal(rs, lam)), lam
+        if kind.family == "C":
+            assert ideal == sorted(ideal, reverse=True), lam
+
+
+@pytest.mark.parametrize("kind, lam, rejected", [
+    (SpC(3), (3, 1, 0), (2, 1, 1)),
+    (SlA(2), (2, 1, 0, -1), (1, 1, 0, 0)),
+], ids=["C3", "SL4"])
+def test_dominant_ideal_certifies_every_element(monkeypatch, kind, lam, rejected):
+    rs = build_root_system(kind)
+    assert rejected in set(dominant_ideal(rs, lam))
+    compare = dominance.dominance_compare
+
+    def reject_one(rs, lam, mu):
+        return DominanceWitness(False) if mu == rejected else compare(rs, lam, mu)
+    monkeypatch.setattr(dominance, "dominance_compare", reject_one)
+    with pytest.raises(CertificationError, match="dominance_compare rejects it"):
+        list(dominant_ideal(rs, lam))
+
+
+def test_dominant_ideal_rejects_a_non_dominant_weight():
+    with pytest.raises(InvalidInputError, match="expected a dominant weight"):
+        list(dominant_ideal(build_root_system(SpC(2)), (0, 1)))
 
 
 def test_brute_force_reduce():
