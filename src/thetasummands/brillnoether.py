@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .dominance import (degree_length, dominance_compare, reduce_hyp,
-                        reduce_nonhyp)
+from .dominance import (_sl_blocks, degree_length, dominance_compare,
+                        reduce_hyp, reduce_nonhyp)
 from .errors import CertificationError, InvalidInputError
 from .rootsys import RootSystem, SlA, SpC, E6 as E6_KIND, build_root_system
 from .weyl import is_dominant
@@ -92,35 +92,23 @@ def _wd(d: int) -> SupportExpr:
 def _diff(a: int, b: int) -> SupportExpr:
     if b == 0:
         return _wd(a)
-    if a == 0 and b == 0:
-        return SupportExpr("point", dim=0)
     return SupportExpr("diff", d_plus=a, d_minus=b, dim=a + b)
 
 
 def split_sl(n: int, lam) -> tuple[tuple[int, ...], tuple[int, ...], int, int, int, int]:
-    """Normalized (lambda+ | -lambda-) split with its degree/length stats.
+    """The two partitions of lam = (lambda+ | -reversed(lambda-)) with their
+    degree/length stats.
 
     Accepts any integer representative modulo det and returns
     (lambda_plus, lambda_minus, d+, d-, l+, l-)."""
     rs = build_root_system(SlA(n))
     lam = rs.normalize(lam)
-    plus = lam[:n]
-    minus = tuple(-c for c in lam[n:])
+    plus, minus = _sl_blocks(n, lam)
     if any(c < 0 for c in plus) or any(c < 0 for c in minus):
         raise InvalidInputError(f"representative {lam} is not of (l+ | -l-) shape")
     dp, lp = degree_length(plus)
     dm, lm = degree_length(minus)
     return plus, minus, dp, dm, lp, lm
-
-
-def transpose_partition(part) -> tuple[int, ...]:
-    """Young-diagram transpose of a weakly decreasing nonnegative tuple."""
-    part = tuple(part)
-    if any(a < b for a, b in zip(part, part[1:])) or any(c < 0 for c in part):
-        raise InvalidInputError(f"{part} is not a partition")
-    if not part or part[0] == 0:
-        return ()
-    return tuple(sum(1 for c in part if c > j) for j in range(part[0]))
 
 
 def support_of_orbit(case: CaseSpec, mu) -> SupportExpr:

@@ -6,8 +6,7 @@ and meet only its dominant projections; multiplicities of irreducible
 characters come from the Freudenthal recursion, with the Weyl character
 formula kept as an independent small-rank oracle.  Freudenthal runs on the
 dominant weights below lam only (the restriction of Moody and Patera, Bull.
-AMS 7, 1982); ``weight_system``, which lists every weight, is kept as a test
-oracle.
+AMS 7, 1982).
 
 Each product looks up |O_nu| once per distinct constituent nu.  The public
 CharElem constructor validates its keys at the API edge; ring operations
@@ -23,7 +22,7 @@ from functools import lru_cache
 
 from .dominance import dominance_compare, dominant_weights_below
 from .errors import CertificationError, InvalidInputError, ResourceCapError
-from .rootsys import Coords, Frozen, RootSystem, closure, weight_from_dynkin
+from .rootsys import Coords, Frozen, RootSystem, weight_from_dynkin
 from .weyl import dominant_projection, is_dominant, orbit, signed_orbit, weyl_group_order
 
 DEFAULT_CAP = 10**8  # dominant projections of a product; dominant weights of a character
@@ -123,10 +122,6 @@ def unit_char(rs: RootSystem) -> CharElem:
     return orbit_char(rs, rs.zero())
 
 
-def char_from_json(rs: RootSystem, data) -> CharElem:
-    return CharElem(rs, {tuple(entry["weight"]): entry["coeff"] for entry in data})
-
-
 def multiply(a: CharElem, b: CharElem, cap: int = DEFAULT_CAP) -> CharElem:
     """Product in Z[X]^W by orbit-stabilizer counting.
 
@@ -170,27 +165,7 @@ def _product(a: CharElem, b: CharElem, cap: int) -> tuple[CharElem, int]:
     return CharElem._from_dominant(rs, acc), work
 
 
-# --- weight systems and Freudenthal multiplicities --------------------------
-
-
-def weight_system(rs: RootSystem, lam) -> set[Coords]:
-    """All weights of the irreducible representation with highest weight lam,
-    by downward closure under simple-root subtraction.
-
-    Freudenthal does not need it; it is the oracle for the dominant weights
-    that Freudenthal walks.
-    """
-    lam = rs.normalize(lam)
-    if not is_dominant(rs, lam):
-        raise InvalidInputError(f"weight_system expects a dominant weight, got {lam}")
-
-    def below(w):
-        for alpha in rs.simple_roots:
-            v = rs.sub(w, alpha)
-            if dominance_compare(rs, lam, dominant_projection(rs, v)[0]).comparable:
-                yield v
-
-    return closure([lam], below, DEFAULT_CAP, f"weight system of {lam}")
+# --- Freudenthal multiplicities ---------------------------------------------
 
 
 def freudenthal_character(rs: RootSystem, lam, cap: int = DEFAULT_CAP) -> CharElem:
@@ -316,12 +291,6 @@ class IrrDecomposition(Frozen):
     def __init__(self, system: RootSystem, coeffs: dict[Coords, int]):
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def to_char(self) -> CharElem:
-        out = CharElem(self.system)
-        for lam, c in self.coeffs.items():
-            out = out + freudenthal_character(self.system, lam).scale(c)
-        return out
 
     def dimension(self) -> int:
         return sum(c * weyl_dimension(self.system, lam)

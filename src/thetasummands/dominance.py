@@ -99,9 +99,9 @@ def degree_length(lam) -> tuple[int, int]:
     return sum(lam), sum(1 for c in lam if c)
 
 
-def _check_step_cap(steps: list, cap: int, lam: Coords):
-    """Raise ResourceCapError before the reduction of lam takes step cap + 1."""
-    if len(steps) >= cap:
+def _check_step_cap(steps: int, cap: int, lam: Coords):
+    """Raise ResourceCapError if the reduction of lam takes steps > cap."""
+    if steps > cap:
         raise ResourceCapError(f"the reduction of {lam} exceeds the cap of {cap} steps")
 
 
@@ -122,7 +122,7 @@ def reduce_hyp(n: int, lam, cap: int = DEFAULT_BUDGET) -> ReductionTrace:
     cur = lam
     steps = []
     while degree_length(cur)[1] < target:
-        _check_step_cap(steps, cap, lam)
+        _check_step_cap(len(steps) + 1, cap, lam)
         i = max(j for j in range(n) if cur[j] >= 2)
         k = degree_length(cur)[1]  # first zero position (0-based)
         root = tuple(1 if j == i else -1 if j == k else 0 for j in range(n))
@@ -162,7 +162,7 @@ def reduce_nonhyp(n: int, lam, cap: int = DEFAULT_BUDGET) -> ReductionTrace:
         ell = degree_length(p)[1] + degree_length(q)[1]
         if ell == min(d, n):
             break
-        _check_step_cap(steps, cap, lam)
+        _check_step_cap(len(steps) + 1, cap, lam)
         if ell > min(d, n):
             # length exceeds n: a cross move drops the degree by 2
             # (both blocks are nonzero here)
@@ -211,11 +211,28 @@ E6_TARGETS = (
 )
 
 
+def _e6_step_count(lam: Coords) -> int:
+    """The number of steps reduce_e6 takes from a nonzero dominant lam."""
+    l1, l2, l3, l4, l5, l6 = lam
+    # once w3, w4 and w5 are stripped: a w1 + b w2 + c w6
+    a, b, c = l1 + l5, l2 + l4, l6 + l3
+    if b == 0 and a == c:
+        # a - 1 pairs w1 + w6 go to 0, the last one to w2
+        return l3 + l4 + l5 + a
+    pairs = min(a, c)
+    m = a + c - 2 * pairs  # the multiple of w1 or of w6 left over
+    strip = b - 1 if m == 0 else b  # w2 stays only when nothing else does
+    # two steps take 3 off m while m > 3; a rest of 2 or 3 takes one more
+    tail = 2 * ((m - 1) // 3) + (m % 3 != 1) if m else 0
+    return l3 + l4 + l5 + pairs + strip + tail
+
+
 def reduce_e6(lam, cap: int = DEFAULT_BUDGET) -> ReductionTrace:
     """Reduce a nonzero dominant E6 weight to w1, w2 or w6.
 
     Every step subtracts the difference of a fixed dominance relation and is
-    re-validated through dominance_compare.
+    re-validated through dominance_compare.  The number of steps follows
+    from the labels, so the cap is checked once, before the walk.
     """
     rs = build_root_system(E6_KIND)
     lam = rs.normalize(lam)
@@ -224,12 +241,13 @@ def reduce_e6(lam, cap: int = DEFAULT_BUDGET) -> ReductionTrace:
     if lam == rs.zero():
         raise InvalidInputError("reduce_e6 is undefined for the zero weight "
                                 "(no target weight lies below 0)")
+    count = _e6_step_count(lam)
+    _check_step_cap(count, cap, lam)
     cur = list(lam)
     steps = []
 
     def apply(rule: str):
         nonlocal cur
-        _check_step_cap(steps, cap, lam)
         hi, lo = E6_RULES[rule]
         new = [c - a + b for c, a, b in zip(cur, hi, lo)]
         if any(c < 0 for c in new):
@@ -271,6 +289,9 @@ def reduce_e6(lam, cap: int = DEFAULT_BUDGET) -> ReductionTrace:
     result = tuple(cur)
     if result not in E6_TARGETS:
         raise CertificationError(f"reduction of {lam} ended outside the target set: {result}")
+    if len(steps) != count:
+        raise CertificationError(f"reduction of {lam} took {len(steps)} steps, "
+                                 f"its labels give {count}")
     return ReductionTrace(rs, lam, tuple(steps), result)
 
 
@@ -313,45 +334,42 @@ def _partial_sum_ideal(lam: Coords, low: int, step: int):
     yield from extend((), 0, lam[0])
 
 
-def dominant_hull_candidates(rs: RootSystem, lam):
+def _root_box_ideal(rs: RootSystem, lam: Coords):
+    """Each dominant lam - sum c_i alpha_i with 0 <= c_i <= lam's root coordinates."""
+    bounds = [c // rs.fundamental_group_exponent for c in rs.scaled_root_coords(lam)]
+    for cvec in product(*(range(b + 1) for b in bounds)):
+        mu = lam
+        for c, alpha in zip(cvec, rs.simple_roots):
+            if c:
+                mu = rs.sub(mu, rs.scale(c, alpha))
+        if all(x >= 0 for x in mu):
+            yield mu
+
+
+def dominant_ideal(rs: RootSystem, lam, budget: int = DEFAULT_BUDGET):
     """The dominance ideal {mu dominant : mu <= lam}, each element once.
 
     C: the partitions of at most n parts with partial sums at or below lam's
     and |lam| - |mu| even.  A: the GL_{2n} representatives with lam's total
-    and partial sums at or below lam's, normalized mod det.  E6: lam minus
-    every box of simple-root multiples within lam's root coordinates that
-    stays dominant."""
-    lam = rs.normalize(lam)
-    fam = rs.kind.family
-    if fam == "C":
-        yield from _partial_sum_ideal(lam, 0, 2)
-    elif fam == "A":
-        for nu in _partial_sum_ideal(lam, lam[-1], 0):
-            yield rs.normalize(nu)
-    else:
-        bounds = [c // rs.fundamental_group_exponent for c in rs.scaled_root_coords(lam)]
-        for cvec in product(*(range(b + 1) for b in bounds)):
-            mu = lam
-            for c, alpha in zip(cvec, rs.simple_roots):
-                if c:
-                    mu = rs.sub(mu, rs.scale(c, alpha))
-            if all(x >= 0 for x in mu):
-                yield mu
-
-
-def dominant_ideal(rs: RootSystem, lam, budget: int = DEFAULT_BUDGET):
-    """All dominant mu with mu <= lam, from dominant_hull_candidates.  Every
-    C and A element is certified by dominance_compare (CertificationError if
-    it disagrees); BudgetExhaustedError at the first element past budget."""
+    and partial sums at or below lam's, normalized mod det.  E6: a box of
+    simple-root multiples.  C and A elements are certified by
+    dominance_compare (CertificationError if it disagrees);
+    BudgetExhaustedError at the first element past budget."""
     lam = rs.normalize(lam)
     if not is_dominant(rs, lam):
         raise InvalidInputError(f"expected a dominant weight, got {lam}")
-    certify = rs.kind.family != "E6"
-    for visited, mu in enumerate(dominant_hull_candidates(rs, lam), 1):
+    fam = rs.kind.family
+    if fam == "C":
+        ideal = _partial_sum_ideal(lam, 0, 2)
+    elif fam == "A":
+        ideal = map(rs.normalize, _partial_sum_ideal(lam, lam[-1], 0))
+    else:
+        ideal = _root_box_ideal(rs, lam)
+    for visited, mu in enumerate(ideal, 1):
         if visited > budget:
             raise BudgetExhaustedError(
                 f"dominance-ideal enumeration for {lam} exceeded budget {budget}")
-        if certify and not dominance_compare(rs, lam, mu).comparable:
+        if fam != "E6" and not dominance_compare(rs, lam, mu).comparable:
             raise CertificationError(
                 f"{mu} was enumerated below {lam} but dominance_compare rejects it")
         yield mu

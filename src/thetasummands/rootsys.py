@@ -408,20 +408,6 @@ def _rho(rs: RootSystem, positive, fundamental) -> Coords:
     return rho
 
 
-def convert_coordinates(rs: RootSystem, w, target: str) -> tuple[Fraction, ...]:
-    """Change of basis to "epsilon", "dynkin" or "root_basis" coordinates."""
-    w = rs.normalize(w)
-    if target == "epsilon":
-        if rs.kind.family == "E6":
-            raise InvalidInputError("epsilon coordinates are not defined for E6")
-        return tuple(Fraction(c) for c in w)
-    if target == "dynkin":
-        return tuple(Fraction(c) for c in rs.dynkin_labels(w))
-    if target == "root_basis":
-        return rs.root_basis_coords(w)
-    raise InvalidInputError(f"unknown coordinate target {target!r}")
-
-
 def weight_from_dynkin(rs: RootSystem, labels) -> Coords:
     """Weight with the given Dynkin labels, in canonical coordinates."""
     labels = tuple(labels)

@@ -11,7 +11,7 @@ from thetasummands.brillnoether import (CUBIC_THREEFOLD, CaseSpec,
                                         SupportExpr, classify_summands, split_sl,
                                         support_dim_hyp,
                                         support_dim_nonhyp_bound,
-                                        support_of_orbit, transpose_partition)
+                                        support_of_orbit)
 from thetasummands.errors import InvalidInputError
 
 
@@ -56,19 +56,9 @@ def test_record_defaults_and_equality():
 
 
 def test_split_sl():
-    assert split_sl(2, (2, 1, 1, 0)) == ((1, 0), (0, 1), 1, 1, 1, 1)
-    assert split_sl(2, (1, 0, 0, -1)) == ((1, 0), (0, 1), 1, 1, 1, 1)
-    assert split_sl(3, (2, 1, 0, 0, 0, -1)) == ((2, 1, 0), (0, 0, 1), 3, 1, 2, 1)
-
-
-def test_transpose_partition():
-    assert transpose_partition((3, 1)) == (2, 1, 1)
-    assert transpose_partition((2, 2, 1)) == (3, 2)
-    assert transpose_partition(()) == ()
-    assert transpose_partition((0, 0)) == ()
-    assert transpose_partition(transpose_partition((4, 2, 1))) == (4, 2, 1)
-    with pytest.raises(InvalidInputError):
-        transpose_partition((1, 2))
+    assert split_sl(2, (2, 1, 1, 0)) == ((1, 0), (1, 0), 1, 1, 1, 1)
+    assert split_sl(2, (1, 0, 0, -1)) == ((1, 0), (1, 0), 1, 1, 1, 1)
+    assert split_sl(3, (2, 1, 0, 0, 0, -1)) == ((2, 1, 0), (1, 0, 0), 3, 1, 2, 1)
 
 
 def test_support_hyperelliptic():

@@ -200,17 +200,21 @@ def test_cap_of_one_is_passed_on():
     assert "cap of 1" in json.loads(proc.stderr)["message"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["--system", "E6", "--basis", "dynkin", "--cap", "10", "reduce",
-     "--weight", "0,0,100000,0,0,0"],
-    ["--system", "SL6", "--cap", "10", "reduce",
-     "--weight", "100000,100000,100000,0,-100000,-100000"],
-], ids=["E6", "SL6"])
-def test_reduce_cap_trips_before_the_walk(argv):
+@pytest.mark.parametrize("argv, cap", [
+    (["--system", "E6", "--basis", "dynkin", "--cap", "10", "reduce",
+      "--weight", "0,0,100000,0,0,0"], 10),
+    (["--system", "SL6", "--cap", "10", "reduce",
+      "--weight", "100000,100000,100000,0,-100000,-100000"], 10),
+    # 3 * 10^6 steps: E6 compares its step count with the default cap
+    # before the walk, so it exits within the subprocess timeout
+    (["--system", "E6", "--basis", "dynkin", "reduce",
+      "--weight", "0,0,3000000,0,0,0"], 10**6),
+], ids=["E6", "SL6", "E6-default-cap"])
+def test_reduce_cap_trips_before_the_walk(argv, cap):
     # uncapped, each takes over 10^5 steps and prints megabytes of JSON
     proc = run_subprocess(argv)
     assert proc.returncode == 2 and proc.stdout == ""
-    assert json.loads(proc.stderr)["message"].endswith("exceeds the cap of 10 steps")
+    assert json.loads(proc.stderr)["message"].endswith(f"exceeds the cap of {cap} steps")
 
 
 def test_reduce_cap_counts_steps():

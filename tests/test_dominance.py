@@ -6,14 +6,15 @@ import pickle
 import pytest
 
 from thetasummands import dominance
-from thetasummands.charring import weight_system, weyl_dimension
+from thetasummands.charring import DEFAULT_CAP, weyl_dimension
 from thetasummands.dominance import (DominanceWitness, brute_force_reduce,
                                      degree_length, dominance_compare,
                                      dominant_ideal, dominant_weights_below,
                                      reduce_e6, reduce_hyp, reduce_nonhyp)
 from thetasummands.errors import (BudgetExhaustedError, CertificationError,
                                   InvalidInputError, ResourceCapError)
-from thetasummands.rootsys import E6, SlA, SpC, build_root_system, weight_from_dynkin
+from thetasummands.rootsys import (E6, SlA, SpC, build_root_system, closure,
+                                   weight_from_dynkin)
 from thetasummands.suites import (_pad, _partitions, dominant_weights_a,
                                   dominant_weights_c, dominant_weights_e6)
 from thetasummands.weyl import dominant_projection
@@ -142,6 +143,24 @@ def test_reductions_raise_at_the_first_step_past_the_cap(reduce, args):
         reduce(*args, cap=steps - 1)
 
 
+def test_reduce_e6_counts_its_steps_before_the_walk(monkeypatch):
+    # the count from the labels equals the walk on every weight of label sum <= 6
+    for lam in dominant_weights_e6(6):
+        assert len(reduce_e6(lam).steps) == dominance._e6_step_count(lam), lam
+    # 3 * 10^6 steps: refused before the first one is validated
+    monkeypatch.setattr(dominance, "dominance_compare", None)
+    with pytest.raises(ResourceCapError, match="cap of 1000000 steps"):
+        reduce_e6((0, 0, 3 * 10**6, 0, 0, 0))
+
+
+def test_reduce_e6_certifies_its_step_count(monkeypatch):
+    # (0,0,2,0,0,0) takes 3 steps; an undercount is an internal error even
+    # when the walk passes the cap, not a cap trip
+    monkeypatch.setattr(dominance, "_e6_step_count", lambda lam: 2)
+    with pytest.raises(CertificationError, match="took 3 steps, its labels give 2"):
+        reduce_e6((0, 0, 2, 0, 0, 0), cap=2)
+
+
 def test_reduce_e6_fixes_targets():
     for t in ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)):
         assert reduce_e6(t).result == t
@@ -177,6 +196,27 @@ def box_ideal(rs, lam):
                for pp in _partitions(n * bound, n, bound)
                for qq in _partitions((n - 1) * bound, n - 1, bound))
     return [mu for mu in box if dominance_compare(rs, lam, mu).comparable]
+
+
+def weight_system(rs, lam):
+    """Oracle: all weights of the irreducible representation with highest
+    weight lam, by downward closure under simple-root subtraction.
+    Freudenthal walks only their dominant projections."""
+    lam = rs.normalize(lam)
+
+    def below(w):
+        for alpha in rs.simple_roots:
+            v = rs.sub(w, alpha)
+            if dominance_compare(rs, lam, dominant_projection(rs, v)[0]).comparable:
+                yield v
+
+    return closure([lam], below, DEFAULT_CAP, f"weight system of {lam}")
+
+
+def test_weight_system_c2():
+    ws = weight_system(build_root_system(SpC(2)), (1, 1))
+    # weights of the 5-dimensional irreducible: orbit of (1,1) plus 0
+    assert ws == {(1, 1), (1, -1), (-1, 1), (-1, -1), (0, 0)}
 
 
 IDEAL_ORACLE_CASES = ([(SpC(n), 8) for n in range(1, 5)] + [(SpC(5), 6), (SpC(6), 6)]

@@ -12,8 +12,8 @@ from thetasummands import rootsys
 from thetasummands.errors import (CertificationError, InvalidInputError,
                                   ResourceCapError)
 from thetasummands.rootsys import (E6, RootSystem, RootSystemKind, SlA, SpC,
-                                   build_root_system, closure, convert_coordinates,
-                                   parse_kind, weight_from_dynkin)
+                                   build_root_system, closure, parse_kind,
+                                   weight_from_dynkin)
 
 ORACLE_KINDS = [SpC(n) for n in range(1, 10)] + [SlA(n) for n in range(1, 8)] + [E6]
 
@@ -170,17 +170,6 @@ def test_weight_from_dynkin_roundtrip():
     rsa = build_root_system(SlA(3))
     w = weight_from_dynkin(rsa, (1, 0, 2, 0, 1))
     assert rsa.dynkin_labels(w) == (1, 0, 2, 0, 1)
-
-
-def test_convert_coordinates():
-    rs = build_root_system(SpC(2))
-    assert convert_coordinates(rs, (2, 1), "dynkin") == (1, 1)
-    assert convert_coordinates(rs, (2, 1), "epsilon") == (2, 1)
-    rs6 = build_root_system(E6)
-    with pytest.raises(InvalidInputError):
-        convert_coordinates(rs6, (1, 0, 0, 0, 0, 0), "epsilon")
-    with pytest.raises(InvalidInputError):
-        convert_coordinates(rs, (2, 1), "weird")
 
 
 def test_fundamental_weights():
