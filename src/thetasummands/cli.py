@@ -44,10 +44,19 @@ def _system(args) -> RootSystem:
     return build_root_system(parse_kind(args.system))
 
 
-def _weight(rs: RootSystem, text: str, basis: str):
-    from .rootsys import weight_from_dynkin
+def _int_arg(text: str) -> int:
+    """argparse type of --n, --genus and --cap."""
+    from .rootsys import _parse_int
     try:
-        coords = tuple(int(c) for c in text.split(","))
+        return _parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _weight(rs: RootSystem, text: str, basis: str):
+    from .rootsys import _parse_int, weight_from_dynkin
+    try:
+        coords = tuple(_parse_int(c) for c in text.split(","))
     except ValueError as exc:
         raise InvalidInputError(f"weight must be comma-separated integers: {text!r}") from exc
     if basis == "dynkin":
@@ -104,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "root systems.")
     parser.add_argument("--system", help="root system: C<n>, A<2n-1>, SL<2n> or E6")
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--cap", type=int, default=None,
+    parser.add_argument("--cap", type=_int_arg, default=None,
                         help="resource cap, at least 1: elements of an orbit, "
                              "steps of a reduction, dominant weights of a "
                              "character, dominant projections of one product, "
@@ -135,21 +144,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--other", required=True)
 
     p = sub.add_parser("lambda", help="lambda-power of an irreducible character")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--weight", required=True)
 
     p = sub.add_parser("adams", help="Adams operation on an irreducible character")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--weight", required=True)
 
     p = sub.add_parser("support", help="symbolic support of an orbit cycle")
     p.add_argument("--case", required=True, help=_CASE_HELP)
-    p.add_argument("--genus", type=int)
+    p.add_argument("--genus", type=_int_arg)
     p.add_argument("--weight", required=True)
 
     p = sub.add_parser("classify", help="theta-divisor summand classification")
     p.add_argument("--case", required=True, help=_CASE_HELP)
-    p.add_argument("--genus", type=int)
+    p.add_argument("--genus", type=_int_arg)
 
     p = sub.add_parser("verify", help="run a batch verification suite")
     p.add_argument("--suite", required=True, help=_SUITE_HELP)
@@ -178,15 +187,22 @@ def dispatch(args) -> CommandResult:
         return CommandResult("ok", report.to_json())
     if cmd == "verify":
         from . import suites
+        from .rootsys import _parse_int
         bounds = {}
         if args.bounds:
             for item in args.bounds.split(","):
                 key, _, val = item.partition("=")
+                key = key.strip()
                 try:
-                    bounds[key.strip()] = int(val)
+                    value = _parse_int(val)
                 except ValueError as exc:
                     raise InvalidInputError(
                         f"bounds entry {item!r} is not key=integer") from exc
+                if not key:
+                    raise InvalidInputError(f"bounds entry {item!r} has no key")
+                if key in bounds:
+                    raise InvalidInputError(f"bound {key!r} is given twice")
+                bounds[key] = value
         result = suites.run_suite(args.suite, **bounds)
         payload = result.to_json()
         if result.ok:

@@ -13,10 +13,11 @@ Weights are plain tuples of integers in the system's canonical coordinates:
   Bourbaki numbering with the branch node alpha_2 attached to alpha_4.
 
 All arithmetic is exact (ints and fractions.Fraction).  Building a root
-system needs integers only: the positive roots come from root strings over
-the Cartan matrix, rho is certified by an integer identity, and the Cartan
-inverse is found by fraction-free elimination, with one Fraction per entry;
-scaled by |P/Q| it gives the integer coweight table.
+system needs integers only: everything starts from the simple roots, the
+positive roots are their closure under the simple reflections, rho is
+certified by an integer identity, and fraction-free elimination gives
+d = det C = |P/Q| and d times the Cartan inverse, hence the integer coweight
+table; the Fraction Cartan inverse is one division per entry.
 """
 
 from __future__ import annotations
@@ -109,6 +110,15 @@ _E6_CARTAN = (
 )
 
 
+def _parse_int(text: str) -> int:
+    """int(text) for an optional sign and ASCII digits, with surrounding
+    whitespace; int() alone also reads "1_0" and non-ASCII digits."""
+    digits = text.strip().lstrip("+-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_kind(name: str) -> RootSystemKind:
     """Parse "C<n>", "A<2n-1>", "SL<2n>" or "E6"."""
     name = name.strip().upper()
@@ -116,14 +126,14 @@ def parse_kind(name: str) -> RootSystemKind:
         return E6
     try:
         if name.startswith("SL"):
-            m = int(name[2:])
+            m = _parse_int(name[2:])
             if m < 2 or m % 2:
                 raise InvalidInputError(f"SL size must be even and >= 2: {name}")
             return SlA(m // 2)
         if name.startswith("C"):
-            return SpC(int(name[1:]))
+            return SpC(_parse_int(name[1:]))
         if name.startswith("A"):
-            r = int(name[1:])
+            r = _parse_int(name[1:])
             if r < 1 or r % 2 == 0:
                 raise InvalidInputError(f"A-rank must be odd (A_(2n-1)): {name}")
             return SlA((r + 1) // 2)
@@ -132,12 +142,13 @@ def parse_kind(name: str) -> RootSystemKind:
     raise InvalidInputError(f"cannot parse root system {name!r}")
 
 
-def _invert_exact(mat):
-    """Exact inverse of an integer matrix, as a tuple of Fraction rows.
+def _scaled_inverse(mat) -> tuple[int, list[list[int]]]:
+    """(d, adj) for an invertible integer matrix, with d = +-det and
+    adj = d * mat^-1, both integral.
 
     Fraction-free Gauss-Jordan elimination (Bareiss): every division by the
-    previous pivot is exact, and the left block ends as d * I with
-    d = +-det, so each entry needs one Fraction at the end.
+    previous pivot is exact, and the left block ends as d * I, d the last
+    pivot.
     """
     r = len(mat)
     aug = [list(mat[i]) + [int(i == j) for j in range(r)] for i in range(r)]
@@ -153,7 +164,7 @@ def _invert_exact(mat):
                 f = row[col]
                 aug[i] = [(pv * a - f * b) // prev for a, b in zip(row, top)]
         prev = pv
-    return tuple(tuple(Fraction(a, aug[i][i]) for a in aug[i][r:]) for i in range(r))
+    return prev, [row[r:] for row in aug]
 
 
 class RootSystem(Frozen):
@@ -268,67 +279,52 @@ class RootSystem(Frozen):
         return str(self.kind)
 
 
-def _fundamental_weight(kind: RootSystemKind, d: int) -> Coords:
-    if kind.family == "C":
-        return tuple(1 if i < d else 0 for i in range(kind.n))
-    if kind.family == "A":
-        return tuple(1 if i < d else 0 for i in range(2 * kind.n))
-    return tuple(1 if i == d - 1 else 0 for i in range(6))
+def _fundamental_weight(kind: RootSystemKind, coord_len: int, d: int) -> Coords:
+    """omega_d: e_1 + ... + e_d for C and A, the d-th unit label vector for E6."""
+    if kind.family == "E6":
+        return tuple(int(i == d - 1) for i in range(6))
+    return tuple(int(i < d) for i in range(coord_len))
 
 
 def _simple_roots(kind: RootSystemKind) -> tuple[Coords, ...]:
+    """e_i - e_{i+1}, then 2 e_n for C; for E6, alpha_i has the i-th Cartan
+    row as its Dynkin labels."""
+    if kind.family == "E6":
+        return _E6_CARTAN
+    m = kind.n if kind.family == "C" else 2 * kind.n
+    roots = [tuple(int(k == i) - int(k == i + 1) for k in range(m)) for i in range(m - 1)]
     if kind.family == "C":
-        n = kind.n
-        roots = []
-        for i in range(n - 1):
-            r = [0] * n
-            r[i], r[i + 1] = 1, -1
-            roots.append(tuple(r))
-        last = [0] * n
-        last[n - 1] = 2
-        roots.append(tuple(last))
-        return tuple(roots)
-    if kind.family == "A":
-        m = 2 * kind.n
-        roots = []
-        for i in range(m - 1):
-            r = [0] * m
-            r[i], r[i + 1] = 1, -1
-            roots.append(tuple(r))
-        return tuple(roots)
-    return _E6_CARTAN  # alpha_i has Dynkin labels = i-th Cartan row
+        roots.append(tuple(2 * int(k == m - 1) for k in range(m)))
+    return tuple(roots)
 
 
 @lru_cache(maxsize=None)
 def build_root_system(kind: RootSystemKind) -> RootSystem:
-    """Assemble the full Cartan data for one of the three supported kinds."""
-    fam = kind.family
-    if fam == "C":
-        rank, coord_len, exponent = kind.n, kind.n, 2
-    elif fam == "A":
-        rank, coord_len, exponent = 2 * kind.n - 1, 2 * kind.n, 2 * kind.n
-    else:
-        rank, coord_len, exponent = 6, 6, 3
-
-    # probe objects with just enough structure for normalize and pairing
-    probe = RootSystem(kind, rank, coord_len, (), (), (), (), (), (), exponent)
-    simple = tuple(probe.normalize(r) for r in _simple_roots(kind))
+    """Assemble the full Cartan data for one of the three supported kinds
+    from its simple roots."""
+    raw = _simple_roots(kind)
+    rank, coord_len = len(raw), len(raw[0])
+    # probe objects with just enough structure for normalize, pairing and reflect
+    probe = RootSystem(kind, rank, coord_len, (), (), (), (), (), (), 0)
+    simple = tuple(probe.normalize(r) for r in raw)
     cartan = tuple(tuple(probe.pairing(r, j) for j in range(rank)) for r in simple)
-    probe = RootSystem(kind, rank, coord_len, cartan, (), simple, (), (), (), exponent)
+    probe = RootSystem(kind, rank, coord_len, cartan, (), simple, (), (), (), 0)
 
-    fundamental = tuple(probe.normalize(_fundamental_weight(kind, d + 1)) for d in range(rank))
+    fundamental = tuple(probe.normalize(_fundamental_weight(kind, coord_len, d))
+                        for d in range(1, rank + 1))
     positive = _positive_roots(probe)
     rho = _rho(probe, positive, fundamental)
-    cartan_inv = _invert_exact(cartan)
-    if any(exponent * x.numerator % x.denominator for row in cartan_inv for x in row):
-        raise CertificationError(f"{kind}: {exponent} C^-1 is not integral")
-    cols = [[exponent * x.numerator // x.denominator for x in col] for col in zip(*cartan_inv)]
+    # d = det C = |P/Q|, as the leading minors of a Cartan matrix are positive
+    d, adj = _scaled_inverse(cartan)
+    cartan_inv = tuple(tuple(Fraction(a, d) for a in row) for row in adj)
+    # column i of adj = d C^-1, applied to the labels of the unit vectors, is
+    # d omega_i^vee on the canonical coordinates
     units = [probe.dynkin_labels(tuple(int(j == k) for j in range(coord_len)))
              for k in range(coord_len)]
-    coweights = tuple(tuple(sum(map(mul, col, dyn)) for dyn in units) for col in cols)
+    coweights = tuple(tuple(sum(map(mul, col, dyn)) for dyn in units) for col in zip(*adj))
 
     return RootSystem(kind, rank, coord_len, cartan, cartan_inv, simple, fundamental,
-                      positive, rho, exponent, coweights)
+                      positive, rho, d, coweights)
 
 
 def closure(start, step, cap: int, what: str) -> set:
@@ -355,43 +351,22 @@ def closure(start, step, cap: int, what: str) -> set:
 
 
 def _positive_roots(rs: RootSystem) -> tuple[Coords, ...]:
-    """All positive roots, grown height by height from the simple roots by
-    root strings (Humphreys, Lie algebras, sections 10-11).
-
-    Roots are built in simple-root coordinates: for a positive root beta and
-    a simple root alpha_j, beta + alpha_j is a root exactly when
-    q = p - <beta, alpha_j^vee> > 0, where p is the length of the
-    alpha_j-string below beta, read off the roots of lower height.  Only
-    integers are used; the result is in canonical coordinates, sorted.
+    """All positive roots, sorted: the closure of the simple roots under the
+    simple reflections, s_i applied to every root but alpha_i.  s_i permutes
+    the positive roots other than alpha_i, and every positive root reaches a
+    simple root by reflections that lower its height (Humphreys, Lie
+    algebras, 10.2-10.3).  Only integers are used.
     """
-    rank, cartan = rs.rank, rs.cartan
-    # simple-root coordinates -> the pairings <beta, alpha_j^vee> for all j
-    found = {tuple(int(i == j) for i in range(rank)): cartan[j] for j in range(rank)}
-    layer = list(found)
-    while layer:
-        grown = {}
-        for beta in layer:
-            pairs = found[beta]
-            for j in range(rank):
-                p, below = 0, beta
-                while True:
-                    below = below[:j] + (below[j] - 1,) + below[j + 1:]
-                    if below not in found:
-                        break
-                    p += 1
-                if p - pairs[j] > 0:
-                    up = beta[:j] + (beta[j] + 1,) + beta[j + 1:]
-                    grown[up] = tuple(a + b for a, b in zip(pairs, cartan[j]))
-        found.update(grown)
-        layer = list(grown)
-        # C_n has n^2 positive roots, A_r has r(r+1)/2 and E6 has 36
-        if len(found) > rank**2:
-            raise CertificationError(f"{rs}: root strings give more than {rank**2} "
-                                     "positive roots")
-    positive = (rs.normalize(tuple(sum(c * a for c, a in zip(beta, col))
-                                   for col in zip(*rs.simple_roots)))
-                for beta in found)
-    return tuple(sorted(positive))
+    simple = rs.simple_roots
+    # C_n has n^2 positive roots, A_r has r(r+1)/2 and E6 has 36
+    cap = rs.rank**2
+    try:
+        found = closure(simple, lambda b: (rs.reflect(i, b) for i, a in enumerate(simple)
+                                           if b != a), cap, f"{rs}: the positive roots")
+    except ResourceCapError as exc:
+        raise CertificationError(f"{rs}: the reflection walk gives more than {cap} "
+                                 "positive roots") from exc
+    return tuple(sorted(found))
 
 
 def _rho(rs: RootSystem, positive, fundamental) -> Coords:

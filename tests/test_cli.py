@@ -119,6 +119,46 @@ def test_verify_bad_bounds_exit_1():
     assert "max_n, max_degree" in r.payload["message"]
 
 
+@pytest.mark.parametrize("bounds, message", [
+    ("max_n=2,max_n=3", "bound 'max_n' is given twice"),
+    ("max_n=3, max_n =2", "bound 'max_n' is given twice"),
+    ("=3", "bounds entry '=3' has no key"),
+    ("max_n=2, =3", "bounds entry ' =3' has no key"),
+])
+def test_verify_bounds_take_each_key_once(bounds, message):
+    # a repeated key kept its last value, an empty one was an unknown bound ''
+    r = run(["verify", "--suite", "reduce-hyp", "--bounds", bounds])
+    assert (r.status, r.exit_code) == ("error", 1)
+    assert r.payload["message"] == message
+
+
+# int() also reads "1_0" as 10 and takes non-ASCII digits such as U+0661
+# ARABIC-INDIC DIGIT ONE and U+FF13 FULLWIDTH DIGIT THREE
+@pytest.mark.parametrize("argv", [
+    ["--system", "C1_0", "dim", "--weight", "1,0,0,0,0,0,0,0,0,0"],
+    ["--system", "SL\uff14", "dim", "--weight", "1,0,0,0"],
+    ["--system", "C2", "dim", "--weight", "1_0,0"],
+    ["--system", "C2", "dim", "--weight", "\u0661,0"],
+    ["--system", "C2", "tensor", "--weight", "1,0", "--other", "1_0,0"],
+    ["verify", "--suite", "reduce-hyp", "--bounds", "max_n=1_0"],
+    ["verify", "--suite", "reduce-hyp", "--bounds", "max_n=\u0661"],
+    ["--system", "C2", "lambda", "--n", "1_0", "--weight", "1,0"],
+    ["support", "--case", "hyperelliptic", "--genus", "\uff13", "--weight", "1,0"],
+    ["--cap", "1_0", "--system", "C2", "dim", "--weight", "1,0"],
+], ids=["system", "system-fullwidth", "weight", "weight-arabic-indic", "other",
+        "bounds", "bounds-arabic-indic", "n", "genus-fullwidth", "cap"])
+def test_integers_are_a_sign_and_ascii_digits(argv):
+    r = run(argv)
+    assert (r.status, r.exit_code) == ("error", 1)
+
+
+def test_integers_keep_their_sign_and_surrounding_spaces():
+    assert run(["--system", "C2", "dim", "--weight", " +1 , 0"]) == run(
+        ["--system", "C2", "dim", "--weight", "1,0"])
+    assert run(["--system", " c2 ", "--cap", " 7", "lambda", "--n", "+2",
+                "--weight", "1,-0"]).payload["n"] == 2
+
+
 @pytest.mark.parametrize("suite, bounds", [("reduce-hyp", "max_n=0"),
                                            ("max-length", "max_g=-3,max_degree=-1")])
 def test_verify_that_tests_no_case_exits_1(suite, bounds):
@@ -230,6 +270,8 @@ ARGUMENT_ERRORS = [
     (["--system", "C2", "orbit"], "the following arguments are required: --weight"),
     (["--system", "C2", "lambda", "--n", "two", "--weight", "1,0"],
      "argument --n: invalid int value: 'two'"),
+    (["--system", "C2", "lambda", "--n", "1_0", "--weight", "1,0"],
+     "argument --n: invalid int value: '1_0'"),
     (["--system", "C2", "frobenius"], "argument command: invalid choice: 'frobenius'"),
     (["verify", "--suite", "nope"], "unknown suite 'nope'; available: adams-factor, "),
     (["classify", "--case", "elliptic"], "unknown case kind 'elliptic'"),
@@ -301,6 +343,7 @@ def test_one_breadth_first_walk_in_src():
             for path in Path(cli.__file__).parent.glob("*.py")}
     assert {name: n for name, n in hits.items() if n} == {"rootsys.py": 1}
     assert "while frontier" in inspect.getsource(rootsys.closure)
+    assert "closure(" in inspect.getsource(rootsys._positive_roots)
 
 
 def test_root_coordinates_have_no_family_branches():

@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from itertools import product
 from math import factorial, prod
 
 import pytest
@@ -43,6 +44,32 @@ def reflection_positive_roots(rs):
                     2 * rs.rank**2, f"root system {rs}")
     return tuple(sorted(r for r in roots
                         if all(c >= 0 for c in rs.root_basis_coords(r))))
+
+
+def closed_form_positive_roots(rs):
+    """Oracle: e_i +- e_j (i < j) and 2 e_i for C_n, the normalized e_i - e_j
+    (i < j) for Sl_2n, and for E6 the c >= 0 of norm c^T C c = 2 (every
+    coefficient of an E6 root is at most 3), in Dynkin labels."""
+    m = rs.coord_len
+
+    def e(*terms):
+        vec = [0] * m
+        for k, c in terms:
+            vec[k] += c
+        return tuple(vec)
+
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    if rs.kind.family == "C":
+        roots = ([e((i, 1), (j, -1)) for i, j in pairs] + [e((i, 1), (j, 1)) for i, j in pairs]
+                 + [e((i, 2)) for i in range(m)])
+    elif rs.kind.family == "A":
+        roots = [rs.normalize(e((i, 1), (j, -1))) for i, j in pairs]
+    else:
+        cartan = rs.cartan
+        roots = [tuple(sum(c[i] * cartan[i][j] for i in range(6)) for j in range(6))
+                 for c in product(range(4), repeat=6)
+                 if sum(c[i] * cartan[i][j] * c[j] for i in range(6) for j in range(6)) == 2]
+    return tuple(sorted(roots))
 
 
 def integral_weight(rs, vec):
@@ -186,6 +213,28 @@ def test_fundamental_group_exponent():
     assert build_root_system(E6).fundamental_group_exponent == 3
 
 
+@pytest.mark.parametrize("kind", ORACLE_KINDS, ids=str)
+def test_positive_roots_and_exponent_match_the_closed_forms(kind):
+    rs = build_root_system(kind)
+    assert rs.positive_roots == closed_form_positive_roots(rs)
+    # |P/Q|: Z/2 for C_n, Z/2n for Sl_2n, Z/3 for E6
+    exponent = {"C": 2, "A": 2 * kind.n, "E6": 3}[kind.family]
+    assert rs.fundamental_group_exponent == exponent
+
+
+@pytest.mark.parametrize("kind", [SpC(2), SpC(4), SlA(2), SlA(3), E6], ids=str)
+def test_a_broken_reflection_walk_is_a_certification_error(monkeypatch, kind):
+    # build_root_system.__wrapped__ builds past the cache
+    cap = build_root_system(kind).rank**2
+    monkeypatch.setattr(RootSystem, "reflect", lambda rs, i, w: w)
+    with pytest.raises(CertificationError, match="rho"):
+        build_root_system.__wrapped__(kind)
+    monkeypatch.setattr(RootSystem, "reflect",
+                        lambda rs, i, w: rs.add(w, rs.simple_roots[i]))
+    with pytest.raises(CertificationError, match=f"more than {cap} positive roots"):
+        build_root_system.__wrapped__(kind)
+
+
 def test_closure_checks_the_cap_at_every_insertion():
     drawn = []
 
@@ -239,7 +288,8 @@ def test_cartan_inverse_matches_gauss_jordan_on_random_matrices():
             expected = gauss_jordan_inverse(mat)
         except StopIteration:  # singular
             continue
-        assert rootsys._invert_exact(mat) == expected
+        d, adj = rootsys._scaled_inverse(mat)
+        assert tuple(tuple(Fraction(a, d) for a in row) for row in adj) == expected
         checked += 1
 
 
