@@ -8,7 +8,7 @@ from collections import namedtuple
 from .dominance import (_sl_blocks, degree_length, dominance_compare,
                         reduce_hyp, reduce_nonhyp)
 from .errors import CertificationError, InvalidInputError
-from .rootsys import RootSystem, SlA, SpC, E6 as E6_KIND, build_root_system
+from .rootsys import RootSystem, RootSystemKind, SlA, SpC, E6 as E6_KIND, build_root_system
 from .weyl import is_dominant
 
 HYPERELLIPTIC = "hyperelliptic"
@@ -41,12 +41,15 @@ class CaseSpec(namedtuple("CaseSpec", "kind genus")):
     def theta_dim(self) -> int:
         return 4 if self.kind == CUBIC_THREEFOLD else self.genus - 1
 
-    def root_system(self) -> RootSystem:
+    def _root_kind(self) -> RootSystemKind:
         if self.kind == HYPERELLIPTIC:
-            return build_root_system(SpC(self.n))
+            return SpC(self.n)
         if self.kind == NONHYPERELLIPTIC:
-            return build_root_system(SlA(self.n))
-        return build_root_system(E6_KIND)
+            return SlA(self.n)
+        return E6_KIND
+
+    def root_system(self) -> RootSystem:
+        return build_root_system(self._root_kind())
 
     def label(self) -> str:
         if self.kind == CUBIC_THREEFOLD:

@@ -37,11 +37,11 @@ def _error(message: str, exit_code: int = 1) -> CommandResult:
     return CommandResult("error", {"message": message}, exit_code)
 
 
-def _system(args) -> RootSystem:
-    from .rootsys import build_root_system, parse_kind
+def _kind(args) -> RootSystemKind:
+    from .rootsys import parse_kind
     if not args.system:
         raise InvalidInputError("this command needs --system (e.g. C3, SL6, A5, E6)")
-    return build_root_system(parse_kind(args.system))
+    return parse_kind(args.system)
 
 
 def _int_arg(text: str) -> int:
@@ -53,17 +53,23 @@ def _int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def _weight(rs: RootSystem, text: str, basis: str):
-    from .rootsys import _parse_int, weight_from_dynkin
+def _weight(kind: RootSystemKind, text: str, basis: str):
+    """A weight in canonical coordinates.  Its count of integers is checked
+    against the simple roots of kind before the root system is built."""
+    from .rootsys import _parse_int, _simple_roots, build_root_system, weight_from_dynkin
     try:
         coords = tuple(_parse_int(c) for c in text.split(","))
     except ValueError as exc:
         raise InvalidInputError(f"weight must be comma-separated integers: {text!r}") from exc
-    if basis == "dynkin":
-        return weight_from_dynkin(rs, coords)
-    if rs.kind.family == "E6":
+    if basis != "dynkin" and kind.family == "E6":
         raise InvalidInputError("E6 weights must be given with --basis dynkin")
-    return rs.normalize(coords)
+    simple = _simple_roots(kind)
+    count, what = ((len(simple), "Dynkin labels") if basis == "dynkin"
+                   else (len(simple[0]), "coordinates"))
+    if len(coords) != count:
+        raise InvalidInputError(f"{kind}: expected {count} {what}, got {len(coords)}")
+    rs = build_root_system(kind)
+    return weight_from_dynkin(rs, coords) if basis == "dynkin" else rs.normalize(coords)
 
 
 def _case(args) -> CaseSpec:
@@ -175,9 +181,8 @@ def dispatch(args) -> CommandResult:
     if cmd == "support":
         from . import brillnoether
         case = _case(args)
-        rs = case.root_system()
-        mu = _weight(rs, args.weight,
-                     "dynkin" if rs.kind.family == "E6" else args.basis)
+        kind = case._root_kind()
+        mu = _weight(kind, args.weight, "dynkin" if kind.family == "E6" else args.basis)
         expr = brillnoether.support_of_orbit(case, mu)
         return CommandResult("ok", {"case": case.label(), "support": expr.label(),
                                     "dim": expr.dim, "up_to_translation": True})
@@ -211,8 +216,10 @@ def dispatch(args) -> CommandResult:
     # every other command reads --system and --weight
     if cmd not in ("orbit", "dominance", "reduce", "char", "dim", "tensor", "lambda", "adams"):
         raise InvalidInputError(f"unknown command {cmd!r}")
-    rs = _system(args)
-    lam = _weight(rs, args.weight, args.basis)
+    from .rootsys import build_root_system
+    kind = _kind(args)
+    lam = _weight(kind, args.weight, args.basis)
+    rs = build_root_system(kind)
     # --format text prints the keys in this insertion order
     payload = {"system": str(rs)}
     if cmd == "orbit":
@@ -223,7 +230,7 @@ def dispatch(args) -> CommandResult:
             payload["elements"] = [list(e) for e in orb.elements]
     elif cmd == "dominance":
         from . import dominance
-        wit = dominance.dominance_compare(rs, lam, _weight(rs, args.other, args.basis))
+        wit = dominance.dominance_compare(rs, lam, _weight(kind, args.other, args.basis))
         payload["comparable"] = wit.comparable
         if wit.comparable:
             payload["root_coefficients"] = list(wit.root_coefficients)
@@ -241,7 +248,7 @@ def dispatch(args) -> CommandResult:
         payload["dimension"] = charring.weyl_dimension(rs, lam)
     elif cmd == "tensor":
         from . import charring
-        dec = charring.tensor_decompose(rs, lam, _weight(rs, args.other, args.basis),
+        dec = charring.tensor_decompose(rs, lam, _weight(kind, args.other, args.basis),
                                         cap=_cap(args, charring.DEFAULT_CAP))
         payload.update(irreducibles=dec.to_json(), dimension=dec.dimension())
     else:  # lambda, adams

@@ -211,28 +211,36 @@ E6_TARGETS = (
 )
 
 
-def _e6_step_count(lam: Coords) -> int:
-    """The number of steps reduce_e6 takes from a nonzero dominant lam."""
+def _e6_plan(lam: Coords) -> list[tuple[tuple[str, ...], int]]:
+    """The walk of reduce_e6 from a nonzero dominant lam, as runs (rules,
+    times): the rules in order, times times over.
+
+    Stripping w3, w4 and w5 leaves a w1 + b w2 + c w6.  The pairs w1 + w6 go
+    to 0, the last one to w2 when nothing else is left; w2 goes unless it is
+    all that is left.  The multiple m of w1 or of w6 left over loses 3 per
+    two steps while m > 3, and a rest of 2 or 3 takes one more step.
+    """
     l1, l2, l3, l4, l5, l6 = lam
-    # once w3, w4 and w5 are stripped: a w1 + b w2 + c w6
-    a, b, c = l1 + l5, l2 + l4, l6 + l3
+    a, b, c = l1 + l5, l2 + l4, l3 + l6
+    plan = [(("w3>=w6",), l3), (("w4>=w2",), l4), (("w5>=w1",), l5)]
     if b == 0 and a == c:
-        # a - 1 pairs w1 + w6 go to 0, the last one to w2
-        return l3 + l4 + l5 + a
-    pairs = min(a, c)
-    m = a + c - 2 * pairs  # the multiple of w1 or of w6 left over
-    strip = b - 1 if m == 0 else b  # w2 stays only when nothing else does
-    # two steps take 3 off m while m > 3; a rest of 2 or 3 takes one more
-    tail = 2 * ((m - 1) // 3) + (m % 3 != 1) if m else 0
-    return l3 + l4 + l5 + pairs + strip + tail
+        return plan + [(("w1+w6>=0",), a - 1), (("w1+w6>=w2",), 1)]
+    m = abs(a - c)
+    plan += [(("w1+w6>=0",), min(a, c)), (("w2>=0",), b - 1 if m == 0 else b)]
+    if m:
+        double, triple = ("2w1>=w6", "3w1>=w2") if a > c else ("2w6>=w1", "3w6>=w2")
+        plan += [((double, "w1+w6>=0"), (m - 1) // 3),
+                 ((double,), int(m % 3 == 2)), ((triple,), int(m % 3 == 0))]
+    return plan
 
 
 def reduce_e6(lam, cap: int = DEFAULT_BUDGET) -> ReductionTrace:
     """Reduce a nonzero dominant E6 weight to w1, w2 or w6.
 
-    Every step subtracts the difference of a fixed dominance relation and is
-    re-validated through dominance_compare.  The number of steps follows
-    from the labels, so the cap is checked once, before the walk.
+    The walk is read off the labels (_e6_plan), so the cap is compared with
+    its length before the first step.  Every step subtracts the difference
+    of a fixed dominance relation and is re-validated through
+    dominance_compare.
     """
     rs = build_root_system(E6_KIND)
     lam = rs.normalize(lam)
@@ -241,58 +249,24 @@ def reduce_e6(lam, cap: int = DEFAULT_BUDGET) -> ReductionTrace:
     if lam == rs.zero():
         raise InvalidInputError("reduce_e6 is undefined for the zero weight "
                                 "(no target weight lies below 0)")
-    count = _e6_step_count(lam)
-    _check_step_cap(count, cap, lam)
-    cur = list(lam)
+    plan = _e6_plan(lam)
+    _check_step_cap(sum(len(rules) * times for rules, times in plan), cap, lam)
+    cur = lam
     steps = []
-
-    def apply(rule: str):
-        nonlocal cur
-        hi, lo = E6_RULES[rule]
-        new = [c - a + b for c, a, b in zip(cur, hi, lo)]
-        if any(c < 0 for c in new):
-            raise CertificationError(f"rule {rule} leaves the dominant cone at {tuple(cur)}")
-        if not dominance_compare(rs, tuple(cur), tuple(new)).comparable:
-            raise CertificationError(f"rule {rule} failed dominance validation")
-        steps.append((tuple(a - b for a, b in zip(hi, lo)), rule))
-        cur = new
-
-    while cur[2]:
-        apply("w3>=w6")
-    while cur[3]:
-        apply("w4>=w2")
-    while cur[4]:
-        apply("w5>=w1")
-    # support now on w1, w2, w6
-    while cur[0] >= 1 and cur[5] >= 1 and (cur[0], cur[1], cur[5]) != (1, 0, 1):
-        apply("w1+w6>=0")
-    if (cur[0], cur[1], cur[5]) == (1, 0, 1):
-        apply("w1+w6>=w2")
-    elif cur[1]:
-        if cur[0] == 0 and cur[5] == 0:
-            while cur[1] > 1:
-                apply("w2>=0")
-        else:
-            while cur[1]:
-                apply("w2>=0")
-    if tuple(cur) not in E6_TARGETS:
-        # pure multiple of w1 or of w6; reduce the coefficient modulo 3
-        idx = 0 if cur[0] else 5
-        double, triple = ("2w1>=w6", "3w1>=w2") if idx == 0 else ("2w6>=w1", "3w6>=w2")
-        while cur[idx] > 3:
-            apply(double)
-            apply("w1+w6>=0")
-        if cur[idx] == 2:
-            apply(double)
-        elif cur[idx] == 3:
-            apply(triple)
-    result = tuple(cur)
-    if result not in E6_TARGETS:
-        raise CertificationError(f"reduction of {lam} ended outside the target set: {result}")
-    if len(steps) != count:
-        raise CertificationError(f"reduction of {lam} took {len(steps)} steps, "
-                                 f"its labels give {count}")
-    return ReductionTrace(rs, lam, tuple(steps), result)
+    for rules, times in plan:
+        for rule in rules * times:
+            hi, lo = E6_RULES[rule]
+            diff = tuple(a - b for a, b in zip(hi, lo))
+            new = tuple(c - d for c, d in zip(cur, diff))
+            if any(c < 0 for c in new):
+                raise CertificationError(f"rule {rule} leaves the dominant cone at {cur}")
+            if not dominance_compare(rs, cur, new).comparable:
+                raise CertificationError(f"rule {rule} failed dominance validation")
+            steps.append((diff, rule))
+            cur = new
+    if cur not in E6_TARGETS:
+        raise CertificationError(f"reduction of {lam} ended outside the target set: {cur}")
+    return ReductionTrace(rs, lam, tuple(steps), cur)
 
 
 # --- exhaustive oracle -----------------------------------------------------

@@ -60,8 +60,22 @@ def orbit(rs: RootSystem, lam, cap: int = DEFAULT_ORBIT_CAP) -> OrbitSum:
 
 @lru_cache(maxsize=4096)
 def _orbit_cached(rs: RootSystem, lam: Coords) -> OrbitSum:
-    seen = closure([lam], lambda w: (rs.reflect(i, w) for i in range(rs.rank)),
-                   DEFAULT_ORBIT_CAP, f"orbit of {lam} in {rs}")
+    """The walk, refused before it starts past DEFAULT_ORBIT_CAP, capped at
+    the closed-form size and certified to find exactly that many elements."""
+    size = orbit_size(rs, lam)
+    what = f"orbit of {lam} in {rs}"
+    if size > DEFAULT_ORBIT_CAP:
+        raise ResourceCapError(
+            f"{what} has {size} elements, more than the cap of {DEFAULT_ORBIT_CAP}")
+    try:
+        seen = closure([lam], lambda w: (rs.reflect(i, w) for i in range(rs.rank)),
+                       size, what)
+    except ResourceCapError as exc:
+        raise CertificationError(
+            f"the {what} has more elements than the {size} of its closed form") from exc
+    if len(seen) != size:
+        raise CertificationError(
+            f"the {what} has {len(seen)} elements, its closed form gives {size}")
     return OrbitSum(rs, lam, tuple(sorted(seen)))
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from thetasummands import charring, cli, dominance, rootsys
+from thetasummands import brillnoether, charring, cli, dominance, rootsys
 from thetasummands.brillnoether import CUBIC_THREEFOLD, HYPERELLIPTIC, NONHYPERELLIPTIC
 from thetasummands.cli import main, parse_and_dispatch
 from thetasummands.errors import CertificationError
@@ -108,6 +108,20 @@ def test_user_errors_exit_1():
                 "--weight", "1,0"]).exit_code == 1  # missing --genus
     assert run(["verify", "--suite", "reduce-hyp",
                 "--bounds", "nonsense=1"]).exit_code == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--system", "C240", "dim", "--weight", "1"], "C240: expected 240 coordinates, got 1"),
+    (["--system", "C240", "--basis", "dynkin", "dim", "--weight", "1"],
+     "C240: expected 240 Dynkin labels, got 1"),
+    (["support", "--case", "hyperelliptic", "--genus", "161", "--weight", "1"],
+     "C160: expected 160 coordinates, got 1"),
+], ids=["epsilon", "dynkin", "support"])
+def test_weight_count_is_checked_before_the_system_is_built(monkeypatch, argv, message):
+    monkeypatch.setattr(rootsys, "build_root_system", None)
+    monkeypatch.setattr(brillnoether, "build_root_system", None)
+    r = run(argv)
+    assert (r.exit_code, r.payload["message"]) == (1, message)
 
 
 def test_verify_bad_bounds_exit_1():

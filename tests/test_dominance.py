@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 
 import pytest
 
@@ -143,10 +144,82 @@ def test_reductions_raise_at_the_first_step_past_the_cap(reduce, args):
         reduce(*args, cap=steps - 1)
 
 
+def e6_loop_walk(lam):
+    """Oracle: reduce_e6 as a walk of while-loops over the current labels,
+    returning its (subtracted element, rule) steps and its end point."""
+    cur = list(lam)
+    steps = []
+
+    def apply(rule):
+        hi, lo = dominance.E6_RULES[rule]
+        diff = tuple(a - b for a, b in zip(hi, lo))
+        cur[:] = [c - d for c, d in zip(cur, diff)]
+        assert min(cur) >= 0, (lam, rule)
+        steps.append((diff, rule))
+
+    while cur[2]:
+        apply("w3>=w6")
+    while cur[3]:
+        apply("w4>=w2")
+    while cur[4]:
+        apply("w5>=w1")
+    while cur[0] >= 1 and cur[5] >= 1 and (cur[0], cur[1], cur[5]) != (1, 0, 1):
+        apply("w1+w6>=0")
+    if (cur[0], cur[1], cur[5]) == (1, 0, 1):
+        apply("w1+w6>=w2")
+    elif cur[1]:
+        while cur[1] > (1 if cur[0] == cur[5] == 0 else 0):
+            apply("w2>=0")
+    if tuple(cur) not in dominance.E6_TARGETS:
+        idx = 0 if cur[0] else 5
+        double, triple = ("2w1>=w6", "3w1>=w2") if idx == 0 else ("2w6>=w1", "3w6>=w2")
+        while cur[idx] > 3:
+            apply(double)
+            apply("w1+w6>=0")
+        if cur[idx] == 2:
+            apply(double)
+        elif cur[idx] == 3:
+            apply(triple)
+    return tuple(steps), tuple(cur)
+
+
+def e6_closed_form_step_count(lam):
+    """Oracle: the length of reduce_e6's walk as one formula in the labels."""
+    l1, l2, l3, l4, l5, l6 = lam
+    a, b, c = l1 + l5, l2 + l4, l6 + l3
+    if b == 0 and a == c:
+        return l3 + l4 + l5 + a
+    pairs = min(a, c)
+    m = a + c - 2 * pairs
+    strip = b - 1 if m == 0 else b
+    tail = 2 * ((m - 1) // 3) + (m % 3 != 1) if m else 0
+    return l3 + l4 + l5 + pairs + strip + tail
+
+
+def e6_plan_length(lam):
+    return sum(len(rules) * times for rules, times in dominance._e6_plan(lam))
+
+
+def test_reduce_e6_matches_the_loop_walk():
+    for lam in dominant_weights_e6(7):
+        if any(lam):
+            trace = reduce_e6(lam)
+            assert (trace.start, trace.steps, trace.result) == (lam, *e6_loop_walk(lam)), lam
+
+
+def test_e6_plan_length_matches_the_closed_form():
+    rng = random.Random(2501)
+    for _ in range(5000):
+        lam = tuple(rng.choice((0, 1, 2, 3, rng.randint(0, 10**6))) for _ in range(6))
+        if any(lam):
+            assert e6_plan_length(lam) == e6_closed_form_step_count(lam), lam
+
+
 def test_reduce_e6_counts_its_steps_before_the_walk(monkeypatch):
-    # the count from the labels equals the walk on every weight of label sum <= 6
+    # the plan's length is the walk's on every weight of label sum <= 6
     for lam in dominant_weights_e6(6):
-        assert len(reduce_e6(lam).steps) == dominance._e6_step_count(lam), lam
+        if any(lam):
+            assert len(reduce_e6(lam).steps) == e6_plan_length(lam), lam
     # 3 * 10^6 steps: refused before the first one is validated
     monkeypatch.setattr(dominance, "dominance_compare", None)
     with pytest.raises(ResourceCapError, match="cap of 1000000 steps"):
@@ -154,11 +227,22 @@ def test_reduce_e6_counts_its_steps_before_the_walk(monkeypatch):
 
 
 def test_reduce_e6_certifies_its_step_count(monkeypatch):
-    # (0,0,2,0,0,0) takes 3 steps; an undercount is an internal error even
-    # when the walk passes the cap, not a cap trip
-    monkeypatch.setattr(dominance, "_e6_step_count", lambda lam: 2)
-    with pytest.raises(CertificationError, match="took 3 steps, its labels give 2"):
-        reduce_e6((0, 0, 2, 0, 0, 0), cap=2)
+    # a plan with any run one step short or one step long leaves the
+    # dominant cone or ends outside the target set: an internal error
+    plan = dominance._e6_plan
+    mutations = 0
+    for lam in dominant_weights_e6(3):
+        for i, (rules, times) in enumerate(plan(lam) if any(lam) else ()):
+            for delta in (-1, 1) if times else (1,):
+                def mutated(mu, i=i, delta=delta):
+                    runs = plan(mu)
+                    runs[i] = (runs[i][0], runs[i][1] + delta)
+                    return runs
+                monkeypatch.setattr(dominance, "_e6_plan", mutated)
+                with pytest.raises(CertificationError):
+                    reduce_e6(lam)
+                mutations += 1
+    assert mutations > 500
 
 
 def test_reduce_e6_fixes_targets():

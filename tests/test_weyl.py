@@ -61,6 +61,29 @@ def test_orbit_cache_key_leaves_out_the_cap():
     assert weyl._orbit_cached.cache_info() == info
 
 
+def test_orbit_past_the_default_cap_raises_before_the_walk(monkeypatch):
+    # |W(C9)| = 2^9 9!: the closed form refuses rho at the default cap, and
+    # at any larger one, without a walk
+    rs = build_root_system(SpC(9))
+    monkeypatch.setattr(weyl, "closure", None)
+    for cap in (DEFAULT_ORBIT_CAP, 10**9):
+        with pytest.raises(ResourceCapError,
+                           match="has 185794560 elements, more than the cap of 1000000"):
+            orbit(rs, (9, 8, 7, 6, 5, 4, 3, 2, 1), cap=cap)
+
+
+@pytest.mark.parametrize("error", [-1, 1])
+def test_orbit_certifies_its_closed_form_size(monkeypatch, error):
+    # the walk is capped at the closed-form size and must find exactly it
+    rs = build_root_system(SpC(3))
+    size = orbit_size
+    monkeypatch.setattr(weyl, "orbit_size", lambda rs, lam: size(rs, lam) + error)
+    weyl._orbit_cached.cache_clear()
+    with pytest.raises(CertificationError, match="closed form"):
+        orbit(rs, (3, 2, 1))
+    assert weyl._orbit_cached.cache_info().currsize == 0
+
+
 ORBIT_SIZE_WEIGHTS = (
     [(SpC(n), list(dominant_weights_c(n, 4))) for n in range(1, 6)]
     + [(SlA(n), list(dominant_weights_a(n, 4))) for n in range(1, 4)]
